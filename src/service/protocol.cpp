@@ -1,12 +1,11 @@
 #include "service/protocol.hpp"
 
-#include <bit>
-
 #include "core/jsr.hpp"
 #include "core/program.hpp"
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
 #include "service/plan_cache.hpp"
+#include "service/wire_fields.hpp"
 #include "util/cache.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
@@ -14,92 +13,6 @@
 
 namespace rfsm::service {
 namespace {
-
-void putSpec(ipc::MessageWriter& writer, const BatchSpec& spec) {
-  writer.u32(static_cast<std::uint32_t>(spec.stateCount));
-  writer.u32(static_cast<std::uint32_t>(spec.inputCount));
-  writer.u32(static_cast<std::uint32_t>(spec.outputCount));
-  writer.u32(static_cast<std::uint32_t>(spec.deltaCount));
-  writer.u32(static_cast<std::uint32_t>(spec.newStateCount));
-  writer.u64(spec.instanceCount);
-  writer.u64(spec.seed);
-  writer.str(spec.planner);
-  writer.u32(static_cast<std::uint32_t>(spec.eaPopulation));
-  writer.u32(static_cast<std::uint32_t>(spec.eaGenerations));
-}
-
-BatchSpec getSpec(ipc::MessageReader& reader) {
-  BatchSpec spec;
-  spec.stateCount = static_cast<int>(reader.u32());
-  spec.inputCount = static_cast<int>(reader.u32());
-  spec.outputCount = static_cast<int>(reader.u32());
-  spec.deltaCount = static_cast<int>(reader.u32());
-  spec.newStateCount = static_cast<int>(reader.u32());
-  spec.instanceCount = reader.u64();
-  spec.seed = reader.u64();
-  spec.planner = reader.str();
-  spec.eaPopulation = static_cast<int>(reader.u32());
-  spec.eaGenerations = static_cast<int>(reader.u32());
-  return spec;
-}
-
-void putContext(ipc::MessageWriter& writer,
-                const trace::TraceContext& context) {
-  writer.u64(context.traceIdHi);
-  writer.u64(context.traceIdLo);
-  writer.u64(context.spanId);
-  writer.u32(context.sampled ? 1 : 0);
-}
-
-trace::TraceContext getContext(ipc::MessageReader& reader) {
-  trace::TraceContext context;
-  context.traceIdHi = reader.u64();
-  context.traceIdLo = reader.u64();
-  context.spanId = reader.u64();
-  context.sampled = reader.u32() != 0;
-  return context;
-}
-
-/// Doubles ride as IEEE-754 bit patterns — exact round-trip, no locale or
-/// precision games.
-void putF64(ipc::MessageWriter& writer, double value) {
-  writer.u64(std::bit_cast<std::uint64_t>(value));
-}
-
-double getF64(ipc::MessageReader& reader) {
-  return std::bit_cast<double>(reader.u64());
-}
-
-void expectType(ipc::MessageReader& reader, MessageType expected) {
-  const auto tag = reader.u32();
-  if (tag != static_cast<std::uint32_t>(expected))
-    throw ipc::IpcError("unexpected message type " + std::to_string(tag) +
-                        " (expected " +
-                        std::to_string(static_cast<std::uint32_t>(expected)) +
-                        ")");
-}
-
-WorkResult::Status statusFromWire(std::uint32_t value) {
-  switch (value) {
-    case 0: return WorkResult::Status::kOk;
-    case 1: return WorkResult::Status::kFailed;
-    case 2: return WorkResult::Status::kDeadlineExceeded;
-    case 3: return WorkResult::Status::kShed;
-    case 4: return WorkResult::Status::kUnavailable;
-  }
-  throw ipc::IpcError("unknown status code " + std::to_string(value));
-}
-
-std::uint32_t statusToWire(WorkResult::Status status) {
-  switch (status) {
-    case WorkResult::Status::kOk: return 0;
-    case WorkResult::Status::kFailed: return 1;
-    case WorkResult::Status::kDeadlineExceeded: return 2;
-    case WorkResult::Status::kShed: return 3;
-    case WorkResult::Status::kUnavailable: return 4;
-  }
-  return 1;
-}
 
 // --- Instance cache ------------------------------------------------------
 //
@@ -276,417 +189,392 @@ std::vector<std::string> planRange(const BatchSpec& spec, std::uint64_t lo,
   return texts;
 }
 
-// --- Plan request / response --------------------------------------------
+// --- Frame descriptions ----------------------------------------------------
+//
+// Each frame and nested record, described once in wire order; the
+// adaptors in wire_fields.hpp derive the encoder and the bounded decoder.
 
-std::string encodePlanRequest(const PlanRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kPlanRequest));
-  putSpec(writer, request.spec);
-  writer.i64(request.deadlineMs);
-  writer.u64(request.requestId);
-  writer.u64(request.lo);
-  writer.u64(request.hi);
-  putContext(writer, request.context);
-  return writer.take();
+namespace wire {
+
+template <class Io>
+void fields(Io& io, BatchSpec& m) {
+  io(m.stateCount, m.inputCount, m.outputCount, m.deltaCount,
+     m.newStateCount, m.instanceCount, m.seed, m.planner, m.eaPopulation,
+     m.eaGenerations);
 }
 
-PlanRequest decodePlanRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kPlanRequest);
-  PlanRequest request;
-  request.spec = getSpec(reader);
-  request.deadlineMs = reader.i64();
-  request.requestId = reader.u64();
-  request.lo = reader.u64();
-  request.hi = reader.u64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
+template <class Io>
+void fields(Io& io, trace::TraceContext& m) {
+  io(m.traceIdHi, m.traceIdLo, m.spanId, m.sampled);
 }
 
-std::string encodePlanResponse(const PlanResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kPlanResponse));
-  writer.u32(statusToWire(response.status));
-  writer.str(response.error);
-  writer.u64(response.retries);
-  writer.u64(response.crashes);
-  writer.u64(response.cacheHits);
-  writer.u32(static_cast<std::uint32_t>(response.programs.size()));
-  for (const auto& program : response.programs) writer.str(program);
-  return writer.take();
+template <class Io>
+void fields(Io& io, PlanRequest& m) {
+  io(m.spec, m.deadlineMs, m.requestId, m.lo, m.hi, m.context);
 }
 
-PlanResponse decodePlanResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kPlanResponse);
-  PlanResponse response;
-  response.status = statusFromWire(reader.u32());
-  response.error = reader.str();
-  response.retries = reader.u64();
-  response.crashes = reader.u64();
-  response.cacheHits = reader.u64();
-  const std::uint32_t count = reader.u32();
-  response.programs.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k)
-    response.programs.push_back(reader.str());
-  reader.expectEnd();
-  return response;
+template <class Io>
+void fields(Io& io, PlanResponse& m) {
+  io(m.status, m.error, m.retries, m.crashes, m.cacheHits, m.programs);
 }
 
-// --- Shard request / response -------------------------------------------
-
-std::string encodeShardRequest(const ShardRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kShardRequest));
-  putSpec(writer, request.spec);
-  writer.u64(request.lo);
-  writer.u64(request.hi);
-  writer.i64(request.deadlineNs);
-  putContext(writer, request.context);
-  return writer.take();
+template <class Io>
+void fields(Io& io, ShardRequest& m) {
+  io(m.spec, m.lo, m.hi, m.deadlineNs, m.context);
 }
 
-ShardRequest decodeShardRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kShardRequest);
-  ShardRequest request;
-  request.spec = getSpec(reader);
-  request.lo = reader.u64();
-  request.hi = reader.u64();
-  request.deadlineNs = reader.i64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
+template <class Io>
+void fields(Io& io, ShardResponse& m) {
+  io(m.status, m.error, m.programs);
 }
 
-std::string encodeShardResponse(const ShardResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kShardResponse));
-  writer.u32(statusToWire(response.status));
-  writer.str(response.error);
-  writer.u32(static_cast<std::uint32_t>(response.programs.size()));
-  for (const auto& program : response.programs) writer.str(program);
-  return writer.take();
+template <class Io>
+void fields(Io& io, HealthResponse& m) {
+  io(m.healthy, m.workersAlive, m.workersConfigured, m.queueDepth, m.crashes,
+     m.retries, m.shed);
 }
 
-ShardResponse decodeShardResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kShardResponse);
-  ShardResponse response;
-  response.status = statusFromWire(reader.u32());
-  response.error = reader.str();
-  const std::uint32_t count = reader.u32();
-  response.programs.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k)
-    response.programs.push_back(reader.str());
-  reader.expectEnd();
-  return response;
+template <class Io>
+void fields(Io& io, metrics::CounterSample& m) {
+  io(m.name, m.value);
 }
 
-// --- Health probe --------------------------------------------------------
+template <class Io>
+void fields(Io& io, metrics::GaugeSample& m) {
+  io(m.name, m.value);
+}
 
+template <class Io>
+void fields(Io& io, metrics::TimerSample& m) {
+  io(m.name, m.count, m.totalMs);
+}
+
+template <class Io>
+void fields(Io& io, metrics::HistogramSample& m) {
+  io(m.name, m.count, m.p50Ms, m.p90Ms, m.p99Ms, m.maxMs);
+}
+
+template <class Io>
+void fields(Io& io, metrics::RollingSample& m) {
+  io(m.name, m.count, m.p50Ms, m.p90Ms, m.p99Ms, m.maxMs, m.windowMs);
+}
+
+template <class Io>
+void fields(Io& io, metrics::Snapshot& m) {
+  io(m.counters, m.gauges, m.timers, m.histograms, m.rolling);
+}
+
+template <class Io>
+void fields(Io& io, StatsResponse::PlanCacheStats& m) {
+  io(m.enabled, m.size, m.capacity);
+}
+
+template <class Io>
+void fields(Io& io, StatsResponse::BreakerStats& m) {
+  io(m.name, m.state, m.trips);
+}
+
+template <class Io>
+void fields(Io& io, StatsResponse::SessionStats& m) {
+  io(m.tenant, m.name, m.priority, m.weight, m.vtime, m.tokensRemaining,
+     m.queued, m.applied, m.walAgeMs, m.snapshotAgeMs, m.role, m.epoch);
+}
+
+template <class Io>
+void fields(Io& io, StatsResponse& m) {
+  io(m.pid, m.uptimeMs, m.draining, m.workers, m.planCache, m.breakers,
+     m.sessions, m.openSessions, m.schedulerDepth, m.schedulerVirtualNow,
+     m.metrics);
+}
+
+template <class Io>
+void fields(Io& io, TraceDumpRequest& m) {
+  io(m.clientSteadyNs);
+}
+
+template <class Io>
+void fields(Io& io, TraceDumpResponse& m) {
+  io(m.serverSteadyNs, m.clientSteadyNs, m.traceJson);
+}
+
+template <class Io>
+void fields(Io& io, SessionOpenRequest& m) {
+  io(m.tenant, m.name, m.priority, m.weight, m.planner, m.stateCount,
+     m.inputCount, m.outputCount, m.seed, m.resume);
+}
+
+template <class Io>
+void fields(Io& io, SessionOpenResponse& m) {
+  io(m.status, m.error, m.lastApplied, m.retryAfterMs);
+}
+
+template <class Io>
+void fields(Io& io, SessionMutateRequest& m) {
+  io(m.tenant, m.name, m.seq, m.deltaCount, m.newStateCount, m.mutationSeed,
+     m.defer, m.ackSeq, m.context);
+}
+
+template <class Io>
+void fields(Io& io, SessionMutateResponse& m) {
+  io(m.status, m.error, m.seq, m.program, m.compactedFrom, m.deltasPlanned,
+     m.deltasRaw, m.retryAfterMs);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplayRequest& m) {
+  io(m.tenant, m.name, m.fromSeq, m.toSeq);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplayResponse::Entry& m) {
+  io(m.seq, m.program);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplayResponse& m) {
+  io(m.status, m.error, m.entries);
+}
+
+template <class Io>
+void fields(Io& io, SessionCloseRequest& m) {
+  io(m.tenant, m.name);
+}
+
+template <class Io>
+void fields(Io& io, SessionCloseResponse& m) {
+  io(m.status, m.error, m.mutationsApplied, m.plans);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplAppendRequest& m) {
+  io(m.tenant, m.name, m.priority, m.weight, m.planner, m.stateCount,
+     m.inputCount, m.outputCount, m.seed, m.epoch, m.seq, m.deltaCount,
+     m.newStateCount, m.mutationSeed, m.defer);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplAppendResponse& m) {
+  io(m.status, m.error, m.epoch, m.lastAccepted);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplSnapshotRequest& m) {
+  io(m.tenant, m.name, m.epoch, m.snapshot);
+}
+
+template <class Io>
+void fields(Io& io, SessionReplSnapshotResponse& m) {
+  io(m.status, m.error, m.epoch, m.lastAccepted);
+}
+
+template <class Io>
+void fields(Io& io, SessionStatusRequest& m) {
+  io(m.tenant, m.name);
+}
+
+template <class Io>
+void fields(Io& io, SessionStatusResponse& m) {
+  io(m.status, m.error, m.role, m.epoch, m.lastAccepted, m.applied);
+}
+
+template <class Io>
+void fields(Io& io, HandshakeRequest& m) {
+  io(m.version, m.features);
+}
+
+template <class Io>
+void fields(Io& io, HandshakeResponse& m) {
+  io(m.accepted, m.version, m.features, m.error);
+}
+
+/// A frame that is its type tag alone.
+template <MessageType kTag>
+struct Bodiless {
+  static constexpr MessageType kType = kTag;
+};
+
+template <class Io, MessageType kTag>
+void fields(Io&, Bodiless<kTag>&) {}
+
+}  // namespace wire
+
+using wire::Bodiless;
+using wire::decodeFrame;
+using wire::encodeFrame;
+
+// --- Frames ----------------------------------------------------------------
+
+std::string encodePlanRequest(const PlanRequest& m) { return encodeFrame(m); }
+PlanRequest decodePlanRequest(const std::string& p) {
+  return decodeFrame<PlanRequest>(p);
+}
+std::string encodePlanResponse(const PlanResponse& m) { return encodeFrame(m); }
+PlanResponse decodePlanResponse(const std::string& p) {
+  return decodeFrame<PlanResponse>(p);
+}
+std::string encodeShardRequest(const ShardRequest& m) { return encodeFrame(m); }
+ShardRequest decodeShardRequest(const std::string& p) {
+  return decodeFrame<ShardRequest>(p);
+}
+std::string encodeShardResponse(const ShardResponse& m) {
+  return encodeFrame(m);
+}
+ShardResponse decodeShardResponse(const std::string& p) {
+  return decodeFrame<ShardResponse>(p);
+}
 std::string encodeHealthRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHealthRequest));
-  return writer.take();
+  return encodeFrame(Bodiless<MessageType::kHealthRequest>{});
 }
-
-std::string encodeHealthResponse(const HealthResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHealthResponse));
-  writer.u32(response.healthy ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(response.workersAlive));
-  writer.u32(static_cast<std::uint32_t>(response.workersConfigured));
-  writer.u64(response.queueDepth);
-  writer.u64(response.crashes);
-  writer.u64(response.retries);
-  writer.u64(response.shed);
-  return writer.take();
+std::string encodeHealthResponse(const HealthResponse& m) {
+  return encodeFrame(m);
 }
-
-HealthResponse decodeHealthResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHealthResponse);
-  HealthResponse response;
-  response.healthy = reader.u32() != 0;
-  response.workersAlive = static_cast<int>(reader.u32());
-  response.workersConfigured = static_cast<int>(reader.u32());
-  response.queueDepth = reader.u64();
-  response.crashes = reader.u64();
-  response.retries = reader.u64();
-  response.shed = reader.u64();
-  reader.expectEnd();
-  return response;
+HealthResponse decodeHealthResponse(const std::string& p) {
+  return decodeFrame<HealthResponse>(p);
 }
-
-// --- Worker warm-up -------------------------------------------------------
-
 std::string encodeWarmupRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kWarmupRequest));
-  return writer.take();
+  return encodeFrame(Bodiless<MessageType::kWarmupRequest>{});
 }
-
 std::string encodeWarmupResponse() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kWarmupResponse));
-  return writer.take();
+  return encodeFrame(Bodiless<MessageType::kWarmupResponse>{});
 }
-
-void decodeWarmupResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kWarmupResponse);
-  reader.expectEnd();
+void decodeWarmupResponse(const std::string& p) {
+  decodeFrame<Bodiless<MessageType::kWarmupResponse>>(p);
 }
-
-// --- Live stats plane -----------------------------------------------------
-
-namespace {
-
-void putSnapshot(ipc::MessageWriter& writer,
-                 const metrics::Snapshot& snapshot) {
-  writer.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const auto& c : snapshot.counters) {
-    writer.str(c.name);
-    writer.u64(c.value);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const auto& g : snapshot.gauges) {
-    writer.str(g.name);
-    writer.i64(g.value);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.timers.size()));
-  for (const auto& t : snapshot.timers) {
-    writer.str(t.name);
-    writer.u64(t.count);
-    putF64(writer, t.totalMs);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-  for (const auto& h : snapshot.histograms) {
-    writer.str(h.name);
-    writer.u64(h.count);
-    putF64(writer, h.p50Ms);
-    putF64(writer, h.p90Ms);
-    putF64(writer, h.p99Ms);
-    putF64(writer, h.maxMs);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.rolling.size()));
-  for (const auto& w : snapshot.rolling) {
-    writer.str(w.name);
-    writer.u64(w.count);
-    putF64(writer, w.p50Ms);
-    putF64(writer, w.p90Ms);
-    putF64(writer, w.p99Ms);
-    putF64(writer, w.maxMs);
-    writer.i64(w.windowMs);
-  }
-}
-
-metrics::Snapshot getSnapshot(ipc::MessageReader& reader) {
-  metrics::Snapshot snapshot;
-  std::uint32_t count = reader.u32();
-  snapshot.counters.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::CounterSample c;
-    c.name = reader.str();
-    c.value = reader.u64();
-    snapshot.counters.push_back(std::move(c));
-  }
-  count = reader.u32();
-  snapshot.gauges.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::GaugeSample g;
-    g.name = reader.str();
-    g.value = reader.i64();
-    snapshot.gauges.push_back(std::move(g));
-  }
-  count = reader.u32();
-  snapshot.timers.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::TimerSample t;
-    t.name = reader.str();
-    t.count = reader.u64();
-    t.totalMs = getF64(reader);
-    snapshot.timers.push_back(std::move(t));
-  }
-  count = reader.u32();
-  snapshot.histograms.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::HistogramSample h;
-    h.name = reader.str();
-    h.count = reader.u64();
-    h.p50Ms = getF64(reader);
-    h.p90Ms = getF64(reader);
-    h.p99Ms = getF64(reader);
-    h.maxMs = getF64(reader);
-    snapshot.histograms.push_back(std::move(h));
-  }
-  count = reader.u32();
-  snapshot.rolling.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::RollingSample w;
-    w.name = reader.str();
-    w.count = reader.u64();
-    w.p50Ms = getF64(reader);
-    w.p90Ms = getF64(reader);
-    w.p99Ms = getF64(reader);
-    w.maxMs = getF64(reader);
-    w.windowMs = reader.i64();
-    snapshot.rolling.push_back(std::move(w));
-  }
-  return snapshot;
-}
-
-}  // namespace
-
 std::string encodeStatsRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kStatsRequest));
-  return writer.take();
+  return encodeFrame(Bodiless<MessageType::kStatsRequest>{});
+}
+void decodeStatsRequest(const std::string& p) {
+  decodeFrame<Bodiless<MessageType::kStatsRequest>>(p);
+}
+std::string encodeStatsResponse(const StatsResponse& m) {
+  return encodeFrame(m);
+}
+StatsResponse decodeStatsResponse(const std::string& p) {
+  return decodeFrame<StatsResponse>(p);
+}
+std::string encodeTraceDumpRequest(const TraceDumpRequest& m) {
+  return encodeFrame(m);
+}
+TraceDumpRequest decodeTraceDumpRequest(const std::string& p) {
+  return decodeFrame<TraceDumpRequest>(p);
+}
+std::string encodeTraceDumpResponse(const TraceDumpResponse& m) {
+  return encodeFrame(m);
+}
+TraceDumpResponse decodeTraceDumpResponse(const std::string& p) {
+  return decodeFrame<TraceDumpResponse>(p);
+}
+std::string encodeSessionOpenRequest(const SessionOpenRequest& m) {
+  return encodeFrame(m);
+}
+SessionOpenRequest decodeSessionOpenRequest(const std::string& p) {
+  return decodeFrame<SessionOpenRequest>(p);
+}
+std::string encodeSessionOpenResponse(const SessionOpenResponse& m) {
+  return encodeFrame(m);
+}
+SessionOpenResponse decodeSessionOpenResponse(const std::string& p) {
+  return decodeFrame<SessionOpenResponse>(p);
+}
+std::string encodeSessionMutateRequest(const SessionMutateRequest& m) {
+  return encodeFrame(m);
+}
+SessionMutateRequest decodeSessionMutateRequest(const std::string& p) {
+  return decodeFrame<SessionMutateRequest>(p);
+}
+std::string encodeSessionMutateResponse(const SessionMutateResponse& m) {
+  return encodeFrame(m);
+}
+SessionMutateResponse decodeSessionMutateResponse(const std::string& p) {
+  return decodeFrame<SessionMutateResponse>(p);
+}
+std::string encodeSessionReplayRequest(const SessionReplayRequest& m) {
+  return encodeFrame(m);
+}
+SessionReplayRequest decodeSessionReplayRequest(const std::string& p) {
+  return decodeFrame<SessionReplayRequest>(p);
+}
+std::string encodeSessionReplayResponse(const SessionReplayResponse& m) {
+  return encodeFrame(m);
+}
+SessionReplayResponse decodeSessionReplayResponse(const std::string& p) {
+  return decodeFrame<SessionReplayResponse>(p);
+}
+std::string encodeSessionCloseRequest(const SessionCloseRequest& m) {
+  return encodeFrame(m);
+}
+SessionCloseRequest decodeSessionCloseRequest(const std::string& p) {
+  return decodeFrame<SessionCloseRequest>(p);
+}
+std::string encodeSessionCloseResponse(const SessionCloseResponse& m) {
+  return encodeFrame(m);
+}
+SessionCloseResponse decodeSessionCloseResponse(const std::string& p) {
+  return decodeFrame<SessionCloseResponse>(p);
+}
+std::string encodeSessionReplAppendRequest(const SessionReplAppendRequest& m) {
+  return encodeFrame(m);
+}
+SessionReplAppendRequest decodeSessionReplAppendRequest(const std::string& p) {
+  return decodeFrame<SessionReplAppendRequest>(p);
+}
+std::string encodeSessionReplAppendResponse(
+    const SessionReplAppendResponse& m) {
+  return encodeFrame(m);
+}
+SessionReplAppendResponse decodeSessionReplAppendResponse(
+    const std::string& p) {
+  return decodeFrame<SessionReplAppendResponse>(p);
+}
+std::string encodeSessionReplSnapshotRequest(
+    const SessionReplSnapshotRequest& m) {
+  return encodeFrame(m);
+}
+SessionReplSnapshotRequest decodeSessionReplSnapshotRequest(
+    const std::string& p) {
+  return decodeFrame<SessionReplSnapshotRequest>(p);
+}
+std::string encodeSessionReplSnapshotResponse(
+    const SessionReplSnapshotResponse& m) {
+  return encodeFrame(m);
+}
+SessionReplSnapshotResponse decodeSessionReplSnapshotResponse(
+    const std::string& p) {
+  return decodeFrame<SessionReplSnapshotResponse>(p);
+}
+std::string encodeSessionStatusRequest(const SessionStatusRequest& m) {
+  return encodeFrame(m);
+}
+SessionStatusRequest decodeSessionStatusRequest(const std::string& p) {
+  return decodeFrame<SessionStatusRequest>(p);
+}
+std::string encodeSessionStatusResponse(const SessionStatusResponse& m) {
+  return encodeFrame(m);
+}
+SessionStatusResponse decodeSessionStatusResponse(const std::string& p) {
+  return decodeFrame<SessionStatusResponse>(p);
+}
+std::string encodeHandshakeRequest(const HandshakeRequest& m) {
+  return encodeFrame(m);
+}
+HandshakeRequest decodeHandshakeRequest(const std::string& p) {
+  return decodeFrame<HandshakeRequest>(p);
+}
+std::string encodeHandshakeResponse(const HandshakeResponse& m) {
+  return encodeFrame(m);
+}
+HandshakeResponse decodeHandshakeResponse(const std::string& p) {
+  return decodeFrame<HandshakeResponse>(p);
 }
 
-void decodeStatsRequest(const std::string& payload) {
+MessageType peekType(const std::string& payload) {
   ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kStatsRequest);
-  reader.expectEnd();
+  const std::uint32_t tag = reader.u32();
+  if (tag < static_cast<std::uint32_t>(MessageType::kPlanRequest) ||
+      tag > static_cast<std::uint32_t>(MessageType::kSessionStatusResponse))
+    throw ipc::IpcError("unknown message type " + std::to_string(tag));
+  return static_cast<MessageType>(tag);
 }
-
-std::string encodeStatsResponse(const StatsResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kStatsResponse));
-  writer.i64(response.pid);
-  writer.i64(response.uptimeMs);
-  writer.u32(response.draining ? 1 : 0);
-  writer.u32(response.workers.healthy ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(response.workers.workersAlive));
-  writer.u32(static_cast<std::uint32_t>(response.workers.workersConfigured));
-  writer.u64(response.workers.queueDepth);
-  writer.u64(response.workers.crashes);
-  writer.u64(response.workers.retries);
-  writer.u64(response.workers.shed);
-  writer.u32(response.planCache.enabled ? 1 : 0);
-  writer.u64(response.planCache.size);
-  writer.u64(response.planCache.capacity);
-  writer.u32(static_cast<std::uint32_t>(response.breakers.size()));
-  for (const auto& breaker : response.breakers) {
-    writer.str(breaker.name);
-    writer.str(breaker.state);
-    writer.u64(breaker.trips);
-  }
-  writer.u32(static_cast<std::uint32_t>(response.sessions.size()));
-  for (const auto& session : response.sessions) {
-    writer.str(session.tenant);
-    writer.str(session.name);
-    writer.u32(session.priority);
-    putF64(writer, session.weight);
-    putF64(writer, session.vtime);
-    putF64(writer, session.tokensRemaining);
-    writer.u64(session.queued);
-    writer.u64(session.applied);
-    writer.i64(session.walAgeMs);
-    writer.i64(session.snapshotAgeMs);
-    writer.str(session.role);
-    writer.u64(session.epoch);
-  }
-  writer.u64(response.openSessions);
-  writer.u64(response.schedulerDepth);
-  putF64(writer, response.schedulerVirtualNow);
-  putSnapshot(writer, response.metrics);
-  return writer.take();
-}
-
-StatsResponse decodeStatsResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kStatsResponse);
-  StatsResponse response;
-  response.pid = reader.i64();
-  response.uptimeMs = reader.i64();
-  response.draining = reader.u32() != 0;
-  response.workers.healthy = reader.u32() != 0;
-  response.workers.workersAlive = static_cast<int>(reader.u32());
-  response.workers.workersConfigured = static_cast<int>(reader.u32());
-  response.workers.queueDepth = reader.u64();
-  response.workers.crashes = reader.u64();
-  response.workers.retries = reader.u64();
-  response.workers.shed = reader.u64();
-  response.planCache.enabled = reader.u32() != 0;
-  response.planCache.size = reader.u64();
-  response.planCache.capacity = reader.u64();
-  std::uint32_t count = reader.u32();
-  response.breakers.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    StatsResponse::BreakerStats breaker;
-    breaker.name = reader.str();
-    breaker.state = reader.str();
-    breaker.trips = reader.u64();
-    response.breakers.push_back(std::move(breaker));
-  }
-  count = reader.u32();
-  response.sessions.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    StatsResponse::SessionStats session;
-    session.tenant = reader.str();
-    session.name = reader.str();
-    session.priority = reader.u32();
-    session.weight = getF64(reader);
-    session.vtime = getF64(reader);
-    session.tokensRemaining = getF64(reader);
-    session.queued = reader.u64();
-    session.applied = reader.u64();
-    session.walAgeMs = reader.i64();
-    session.snapshotAgeMs = reader.i64();
-    session.role = reader.str();
-    session.epoch = reader.u64();
-    response.sessions.push_back(std::move(session));
-  }
-  response.openSessions = reader.u64();
-  response.schedulerDepth = reader.u64();
-  response.schedulerVirtualNow = getF64(reader);
-  response.metrics = getSnapshot(reader);
-  reader.expectEnd();
-  return response;
-}
-
-// --- Trace dump -----------------------------------------------------------
-
-std::string encodeTraceDumpRequest(const TraceDumpRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kTraceDumpRequest));
-  writer.i64(request.clientSteadyNs);
-  return writer.take();
-}
-
-TraceDumpRequest decodeTraceDumpRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kTraceDumpRequest);
-  TraceDumpRequest request;
-  request.clientSteadyNs = reader.i64();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeTraceDumpResponse(const TraceDumpResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kTraceDumpResponse));
-  writer.i64(response.serverSteadyNs);
-  writer.i64(response.clientSteadyNs);
-  writer.str(response.traceJson);
-  return writer.take();
-}
-
-TraceDumpResponse decodeTraceDumpResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kTraceDumpResponse);
-  TraceDumpResponse response;
-  response.serverSteadyNs = reader.i64();
-  response.clientSteadyNs = reader.i64();
-  response.traceJson = reader.str();
-  reader.expectEnd();
-  return response;
-}
-
-// --- Session streaming ----------------------------------------------------
 
 const char* toString(SessionStatus status) {
   switch (status) {
@@ -700,480 +588,6 @@ const char* toString(SessionStatus status) {
     case SessionStatus::kStaleEpoch: return "STALE_EPOCH";
   }
   return "FAILED";
-}
-
-namespace {
-
-SessionStatus sessionStatusFromWire(std::uint32_t value) {
-  if (value > static_cast<std::uint32_t>(SessionStatus::kStaleEpoch))
-    throw ipc::IpcError("unknown session status code " +
-                        std::to_string(value));
-  return static_cast<SessionStatus>(value);
-}
-
-}  // namespace
-
-std::string encodeSessionOpenRequest(const SessionOpenRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionOpenRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u32(request.priority);
-  writer.u32(request.weight);
-  writer.str(request.planner);
-  writer.u32(static_cast<std::uint32_t>(request.stateCount));
-  writer.u32(static_cast<std::uint32_t>(request.inputCount));
-  writer.u32(static_cast<std::uint32_t>(request.outputCount));
-  writer.u64(request.seed);
-  writer.u32(request.resume ? 1 : 0);
-  return writer.take();
-}
-
-SessionOpenRequest decodeSessionOpenRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionOpenRequest);
-  SessionOpenRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.priority = reader.u32();
-  request.weight = reader.u32();
-  request.planner = reader.str();
-  request.stateCount = static_cast<int>(reader.u32());
-  request.inputCount = static_cast<int>(reader.u32());
-  request.outputCount = static_cast<int>(reader.u32());
-  request.seed = reader.u64();
-  request.resume = reader.u32() != 0;
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionOpenResponse(const SessionOpenResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionOpenResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.lastApplied);
-  writer.i64(response.retryAfterMs);
-  return writer.take();
-}
-
-SessionOpenResponse decodeSessionOpenResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionOpenResponse);
-  SessionOpenResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.lastApplied = reader.u64();
-  response.retryAfterMs = reader.i64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionMutateRequest(const SessionMutateRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionMutateRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.seq);
-  writer.u32(request.deltaCount);
-  writer.u32(request.newStateCount);
-  writer.u64(request.mutationSeed);
-  writer.u32(request.defer ? 1 : 0);
-  writer.u64(request.ackSeq);
-  putContext(writer, request.context);
-  return writer.take();
-}
-
-SessionMutateRequest decodeSessionMutateRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionMutateRequest);
-  SessionMutateRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.seq = reader.u64();
-  request.deltaCount = reader.u32();
-  request.newStateCount = reader.u32();
-  request.mutationSeed = reader.u64();
-  request.defer = reader.u32() != 0;
-  request.ackSeq = reader.u64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionMutateResponse(
-    const SessionMutateResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionMutateResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.seq);
-  writer.str(response.program);
-  writer.u64(response.compactedFrom);
-  writer.u32(response.deltasPlanned);
-  writer.u32(response.deltasRaw);
-  writer.i64(response.retryAfterMs);
-  return writer.take();
-}
-
-SessionMutateResponse decodeSessionMutateResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionMutateResponse);
-  SessionMutateResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.seq = reader.u64();
-  response.program = reader.str();
-  response.compactedFrom = reader.u64();
-  response.deltasPlanned = reader.u32();
-  response.deltasRaw = reader.u32();
-  response.retryAfterMs = reader.i64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionReplayRequest(const SessionReplayRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionReplayRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.fromSeq);
-  writer.u64(request.toSeq);
-  return writer.take();
-}
-
-SessionReplayRequest decodeSessionReplayRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplayRequest);
-  SessionReplayRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.fromSeq = reader.u64();
-  request.toSeq = reader.u64();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplayResponse(
-    const SessionReplayResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionReplayResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u32(static_cast<std::uint32_t>(response.entries.size()));
-  for (const auto& entry : response.entries) {
-    writer.u64(entry.seq);
-    writer.str(entry.program);
-  }
-  return writer.take();
-}
-
-SessionReplayResponse decodeSessionReplayResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplayResponse);
-  SessionReplayResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  const std::uint32_t count = reader.u32();
-  response.entries.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    SessionReplayResponse::Entry entry;
-    entry.seq = reader.u64();
-    entry.program = reader.str();
-    response.entries.push_back(std::move(entry));
-  }
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionCloseRequest(const SessionCloseRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionCloseRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  return writer.take();
-}
-
-SessionCloseRequest decodeSessionCloseRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionCloseRequest);
-  SessionCloseRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionCloseResponse(const SessionCloseResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionCloseResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.mutationsApplied);
-  writer.u64(response.plans);
-  return writer.take();
-}
-
-SessionCloseResponse decodeSessionCloseResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionCloseResponse);
-  SessionCloseResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.mutationsApplied = reader.u64();
-  response.plans = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-// --- Session replication --------------------------------------------------
-
-std::string encodeSessionReplAppendRequest(
-    const SessionReplAppendRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplAppendRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u32(request.priority);
-  writer.u32(request.weight);
-  writer.str(request.planner);
-  writer.u32(static_cast<std::uint32_t>(request.stateCount));
-  writer.u32(static_cast<std::uint32_t>(request.inputCount));
-  writer.u32(static_cast<std::uint32_t>(request.outputCount));
-  writer.u64(request.seed);
-  writer.u64(request.epoch);
-  writer.u64(request.seq);
-  writer.u32(request.deltaCount);
-  writer.u32(request.newStateCount);
-  writer.u64(request.mutationSeed);
-  writer.u32(request.defer ? 1 : 0);
-  return writer.take();
-}
-
-SessionReplAppendRequest decodeSessionReplAppendRequest(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplAppendRequest);
-  SessionReplAppendRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.priority = reader.u32();
-  request.weight = reader.u32();
-  request.planner = reader.str();
-  request.stateCount = static_cast<int>(reader.u32());
-  request.inputCount = static_cast<int>(reader.u32());
-  request.outputCount = static_cast<int>(reader.u32());
-  request.seed = reader.u64();
-  request.epoch = reader.u64();
-  request.seq = reader.u64();
-  request.deltaCount = reader.u32();
-  request.newStateCount = reader.u32();
-  request.mutationSeed = reader.u64();
-  request.defer = reader.u32() != 0;
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplAppendResponse(
-    const SessionReplAppendResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplAppendResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  return writer.take();
-}
-
-SessionReplAppendResponse decodeSessionReplAppendResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplAppendResponse);
-  SessionReplAppendResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionReplSnapshotRequest(
-    const SessionReplSnapshotRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplSnapshotRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.epoch);
-  writer.str(request.snapshot);
-  return writer.take();
-}
-
-SessionReplSnapshotRequest decodeSessionReplSnapshotRequest(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplSnapshotRequest);
-  SessionReplSnapshotRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.epoch = reader.u64();
-  request.snapshot = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplSnapshotResponse(
-    const SessionReplSnapshotResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplSnapshotResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  return writer.take();
-}
-
-SessionReplSnapshotResponse decodeSessionReplSnapshotResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplSnapshotResponse);
-  SessionReplSnapshotResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionStatusRequest(const SessionStatusRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionStatusRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  return writer.take();
-}
-
-SessionStatusRequest decodeSessionStatusRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionStatusRequest);
-  SessionStatusRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionStatusResponse(
-    const SessionStatusResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionStatusResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.str(response.role);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  writer.u64(response.applied);
-  return writer.take();
-}
-
-SessionStatusResponse decodeSessionStatusResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionStatusResponse);
-  SessionStatusResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.role = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  response.applied = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-MessageType peekType(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  const std::uint32_t tag = reader.u32();
-  switch (tag) {
-    case 1: return MessageType::kPlanRequest;
-    case 2: return MessageType::kPlanResponse;
-    case 3: return MessageType::kHealthRequest;
-    case 4: return MessageType::kHealthResponse;
-    case 5: return MessageType::kShardRequest;
-    case 6: return MessageType::kShardResponse;
-    case 7: return MessageType::kWarmupRequest;
-    case 8: return MessageType::kWarmupResponse;
-    case 9: return MessageType::kSessionOpenRequest;
-    case 10: return MessageType::kSessionOpenResponse;
-    case 11: return MessageType::kSessionMutateRequest;
-    case 12: return MessageType::kSessionMutateResponse;
-    case 13: return MessageType::kSessionReplayRequest;
-    case 14: return MessageType::kSessionReplayResponse;
-    case 15: return MessageType::kSessionCloseRequest;
-    case 16: return MessageType::kSessionCloseResponse;
-    case 17: return MessageType::kStatsRequest;
-    case 18: return MessageType::kStatsResponse;
-    case 19: return MessageType::kTraceDumpRequest;
-    case 20: return MessageType::kTraceDumpResponse;
-    case 21: return MessageType::kHandshakeRequest;
-    case 22: return MessageType::kHandshakeResponse;
-    case 23: return MessageType::kSessionReplAppendRequest;
-    case 24: return MessageType::kSessionReplAppendResponse;
-    case 25: return MessageType::kSessionReplSnapshotRequest;
-    case 26: return MessageType::kSessionReplSnapshotResponse;
-    case 27: return MessageType::kSessionStatusRequest;
-    case 28: return MessageType::kSessionStatusResponse;
-  }
-  throw ipc::IpcError("unknown message type " + std::to_string(tag));
-}
-
-// --- Version/feature handshake --------------------------------------------
-
-std::string encodeHandshakeRequest(const HandshakeRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHandshakeRequest));
-  writer.u32(request.version);
-  writer.u32(request.features);
-  return writer.take();
-}
-
-HandshakeRequest decodeHandshakeRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHandshakeRequest);
-  HandshakeRequest request;
-  request.version = reader.u32();
-  request.features = reader.u32();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeHandshakeResponse(const HandshakeResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHandshakeResponse));
-  writer.u32(response.accepted ? 1 : 0);
-  writer.u32(response.version);
-  writer.u32(response.features);
-  writer.str(response.error);
-  return writer.take();
-}
-
-HandshakeResponse decodeHandshakeResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHandshakeResponse);
-  HandshakeResponse response;
-  response.accepted = reader.u32() != 0;
-  response.version = reader.u32();
-  response.features = reader.u32();
-  response.error = reader.str();
-  reader.expectEnd();
-  return response;
 }
 
 HandshakeResponse answerHandshake(const HandshakeRequest& request) {

@@ -11,7 +11,21 @@
 // died mid-write) with no way to drift.
 //
 // Framing/encoding primitives live in util/ipc.hpp; this header defines
-// what the frames mean.
+// what the frames mean.  protocol.cpp describes each frame's layout once,
+// as a fields() list that service/wire_fields.hpp turns into both the
+// encoder and the bounded decoder.
+//
+// Adding a frame:
+//   1. a MessageType tag (and peekType's upper bound, if it is the new
+//      last tag) and a struct here with `static constexpr MessageType
+//      kType`;
+//   2. one `template <class Io> void fields(Io&, Msg&)` in protocol.cpp
+//      (namespace wire) listing its fields in wire order;
+//   3. encodeX/decodeX declared here and defined in protocol.cpp as
+//      one-line wrappers over encodeFrame/decodeFrame;
+//   4. a sample in the golden-frame table (tests/test_ipc.cpp);
+//   5. a kProtocolVersion bump, with a new golden table, if the bytes of
+//      any existing frame change.
 #pragma once
 
 #include <cstdint>
@@ -143,6 +157,7 @@ void clearInstanceCache();
 // --- Plan request / response --------------------------------------------
 
 struct PlanRequest {
+  static constexpr MessageType kType = MessageType::kPlanRequest;
   BatchSpec spec;
   /// Latency budget in ms; 0 = no deadline.
   std::int64_t deadlineMs = 0;
@@ -170,6 +185,7 @@ struct PlanRequest {
 };
 
 struct PlanResponse {
+  static constexpr MessageType kType = MessageType::kPlanResponse;
   WorkResult::Status status = WorkResult::Status::kFailed;
   std::string error;
   /// One rfsm-program text per instance (only when status == kOk).
@@ -191,6 +207,7 @@ PlanResponse decodePlanResponse(const std::string& payload);
 // --- Shard request / response -------------------------------------------
 
 struct ShardRequest {
+  static constexpr MessageType kType = MessageType::kShardRequest;
   BatchSpec spec;
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -203,6 +220,7 @@ struct ShardRequest {
 };
 
 struct ShardResponse {
+  static constexpr MessageType kType = MessageType::kShardResponse;
   /// kOk, kDeadlineExceeded (cooperative), or kFailed (planner threw).
   WorkResult::Status status = WorkResult::Status::kFailed;
   std::string error;
@@ -217,6 +235,7 @@ ShardResponse decodeShardResponse(const std::string& payload);
 // --- Health probe --------------------------------------------------------
 
 struct HealthResponse {
+  static constexpr MessageType kType = MessageType::kHealthResponse;
   bool healthy = false;
   int workersAlive = 0;
   int workersConfigured = 0;
@@ -252,6 +271,7 @@ void decodeWarmupResponse(const std::string& payload);  ///< throws on junk
 // nothing here affects planning.
 
 struct StatsResponse {
+  static constexpr MessageType kType = MessageType::kStatsResponse;
   std::int64_t pid = 0;
   std::int64_t uptimeMs = 0;
   bool draining = false;
@@ -316,11 +336,13 @@ StatsResponse decodeStatsResponse(const std::string& payload);
 // its own steadyEpochNs.
 
 struct TraceDumpRequest {
+  static constexpr MessageType kType = MessageType::kTraceDumpRequest;
   /// Client CLOCK_MONOTONIC ns at send (t0 of the offset handshake).
   std::int64_t clientSteadyNs = 0;
 };
 
 struct TraceDumpResponse {
+  static constexpr MessageType kType = MessageType::kTraceDumpResponse;
   /// Server CLOCK_MONOTONIC ns when it built the dump.
   std::int64_t serverSteadyNs = 0;
   /// clientSteadyNs echoed back, so one socket can pipeline dumps.
@@ -366,6 +388,7 @@ enum class SessionStatus : std::uint32_t {
 const char* toString(SessionStatus status);
 
 struct SessionOpenRequest {
+  static constexpr MessageType kType = MessageType::kSessionOpenRequest;
   std::string tenant;
   std::string name;
   /// Priority class: 0 = interactive, 1 = normal, 2 = batch (strict order).
@@ -384,6 +407,7 @@ struct SessionOpenRequest {
 };
 
 struct SessionOpenResponse {
+  static constexpr MessageType kType = MessageType::kSessionOpenResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   /// Highest mutation sequence number the session has accepted (0 for a
@@ -393,6 +417,7 @@ struct SessionOpenResponse {
 };
 
 struct SessionMutateRequest {
+  static constexpr MessageType kType = MessageType::kSessionMutateRequest;
   std::string tenant;
   std::string name;
   /// Client-assigned sequence number, contiguous from 1.  A duplicate
@@ -418,6 +443,7 @@ struct SessionMutateRequest {
 };
 
 struct SessionMutateResponse {
+  static constexpr MessageType kType = MessageType::kSessionMutateResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   std::uint64_t seq = 0;
@@ -434,6 +460,7 @@ struct SessionMutateResponse {
 };
 
 struct SessionReplayRequest {
+  static constexpr MessageType kType = MessageType::kSessionReplayRequest;
   std::string tenant;
   std::string name;
   /// Inclusive seq range; planned entries in range are returned (deferred
@@ -443,6 +470,7 @@ struct SessionReplayRequest {
 };
 
 struct SessionReplayResponse {
+  static constexpr MessageType kType = MessageType::kSessionReplayResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   struct Entry {
@@ -453,11 +481,13 @@ struct SessionReplayResponse {
 };
 
 struct SessionCloseRequest {
+  static constexpr MessageType kType = MessageType::kSessionCloseRequest;
   std::string tenant;
   std::string name;
 };
 
 struct SessionCloseResponse {
+  static constexpr MessageType kType = MessageType::kSessionCloseResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   std::uint64_t mutationsApplied = 0;
@@ -491,6 +521,7 @@ SessionCloseResponse decodeSessionCloseResponse(const std::string& payload);
 // deposed primary from acking writes nobody replicates.
 
 struct SessionReplAppendRequest {
+  static constexpr MessageType kType = MessageType::kSessionReplAppendRequest;
   /// Open config (mirrors SessionOpenRequest): lets the standby create or
   /// config-check the session without a separate open exchange.
   std::string tenant;
@@ -513,6 +544,7 @@ struct SessionReplAppendRequest {
 };
 
 struct SessionReplAppendResponse {
+  static constexpr MessageType kType = MessageType::kSessionReplAppendResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   /// The standby's current epoch — on kStaleEpoch this tells the deposed
@@ -524,6 +556,7 @@ struct SessionReplAppendResponse {
 };
 
 struct SessionReplSnapshotRequest {
+  static constexpr MessageType kType = MessageType::kSessionReplSnapshotRequest;
   std::string tenant;
   std::string name;
   std::uint64_t epoch = 1;
@@ -534,6 +567,8 @@ struct SessionReplSnapshotRequest {
 };
 
 struct SessionReplSnapshotResponse {
+  static constexpr MessageType kType =
+      MessageType::kSessionReplSnapshotResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   std::uint64_t epoch = 0;
@@ -543,11 +578,13 @@ struct SessionReplSnapshotResponse {
 /// Role/epoch probe (`rfsmc session status`): which side of the replication
 /// plane a session is on, and how far its replay has progressed.
 struct SessionStatusRequest {
+  static constexpr MessageType kType = MessageType::kSessionStatusRequest;
   std::string tenant;
   std::string name;
 };
 
 struct SessionStatusResponse {
+  static constexpr MessageType kType = MessageType::kSessionStatusResponse;
   SessionStatus status = SessionStatus::kFailed;
   std::string error;
   std::string role;  ///< "primary" | "standby"
@@ -591,11 +628,13 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 inline constexpr std::uint32_t kFeatureCrc32c = 1u << 0;
 
 struct HandshakeRequest {
+  static constexpr MessageType kType = MessageType::kHandshakeRequest;
   std::uint32_t version = kProtocolVersion;
   std::uint32_t features = kFeatureCrc32c;
 };
 
 struct HandshakeResponse {
+  static constexpr MessageType kType = MessageType::kHandshakeResponse;
   bool accepted = false;
   std::uint32_t version = kProtocolVersion;  ///< the server's generation
   std::uint32_t features = 0;  ///< requested features the server supports

@@ -14,6 +14,7 @@
 #include "fsm/serialize.hpp"
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
+#include "service/wire_fields.hpp"
 #include "util/fsio.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -128,6 +129,44 @@ SessionReplAppendRequest replRequestFor(const SessionConfig& config,
 
 }  // namespace
 
+// Snapshot records, described once for wire_fields.hpp's adaptors.
+namespace wire {
+
+template <class Io>
+void fields(Io& io, SessionConfig& m) {
+  // weight is a double in memory and an integral share on disk.
+  io(m.tenant, m.name, m.priority, carriedAs<std::uint32_t>(m.weight),
+     m.planner, m.stateCount, m.inputCount, m.outputCount, m.seed);
+}
+
+template <class Io>
+void fields(Io& io, MutationRecord& m) {
+  io(m.seq, m.deltaCount, m.newStateCount, m.mutationSeed, m.defer);
+}
+
+template <class Io>
+void fields(Io& io, PlanOutcome& m) {
+  io(m.planned, m.failed, m.error, m.program, m.compactedFrom,
+     m.deltasPlanned, m.deltasRaw);
+}
+
+/// A SessionEngine as its snapshot holds it (the machine as JSON).
+struct EngineImage {
+  std::string magic;
+  SessionConfig config;
+  std::uint64_t lastApplied = 0;
+  std::uint64_t planCount = 0;
+  std::string machine;
+  std::vector<MutationRecord> pending;
+};
+
+template <class Io>
+void fields(Io& io, EngineImage& m) {
+  io(m.magic, m.config, m.lastApplied, m.planCount, m.machine, m.pending);
+}
+
+}  // namespace wire
+
 bool validSessionName(const std::string& name) {
   if (name.empty() || name.size() > 64) return false;
   for (const char c : name) {
@@ -217,61 +256,55 @@ PlanOutcome SessionEngine::apply(const MutationRecord& rec) {
 }
 
 void SessionEngine::encodeSnapshot(ipc::MessageWriter& writer) const {
-  writer.str(kSnapshotMagic);
-  writer.str(config_.tenant);
-  writer.str(config_.name);
-  writer.u32(static_cast<std::uint32_t>(config_.priority));
-  writer.u32(static_cast<std::uint32_t>(config_.weight));
-  writer.str(config_.planner);
-  writer.u32(static_cast<std::uint32_t>(config_.stateCount));
-  writer.u32(static_cast<std::uint32_t>(config_.inputCount));
-  writer.u32(static_cast<std::uint32_t>(config_.outputCount));
-  writer.u64(config_.seed);
-  writer.u64(lastApplied_);
-  writer.u64(planCount_);
-  writer.str(toJson(machine_));
-  writer.u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const MutationRecord& rec : pending_) {
-    writer.u64(rec.seq);
-    writer.u32(rec.deltaCount);
-    writer.u32(rec.newStateCount);
-    writer.u64(rec.mutationSeed);
-    writer.u32(rec.defer ? 1 : 0);
-  }
+  wire::FieldWriter{writer}(wire::EngineImage{kSnapshotMagic, config_,
+                                              lastApplied_, planCount_,
+                                              toJson(machine_), pending_});
 }
 
 SessionEngine SessionEngine::decodeSnapshot(ipc::MessageReader& reader) {
-  const std::string magic = reader.str();
-  if (magic != kSnapshotMagic)
-    throw ipc::IpcError("bad session snapshot magic '" + magic + "'");
-  SessionConfig config;
-  config.tenant = reader.str();
-  config.name = reader.str();
-  config.priority = static_cast<int>(reader.u32());
-  config.weight = static_cast<double>(reader.u32());
-  config.planner = reader.str();
-  config.stateCount = static_cast<int>(reader.u32());
-  config.inputCount = static_cast<int>(reader.u32());
-  config.outputCount = static_cast<int>(reader.u32());
-  config.seed = reader.u64();
-  const std::uint64_t lastApplied = reader.u64();
-  const std::uint64_t planCount = reader.u64();
-  Machine machine = machineFromJson(reader.str());
-  SessionEngine engine(std::move(config), std::move(machine));
-  engine.lastApplied_ = lastApplied;
-  engine.planCount_ = planCount;
-  const std::uint32_t pending = reader.u32();
-  for (std::uint32_t k = 0; k < pending; ++k) {
-    MutationRecord rec;
-    rec.seq = reader.u64();
-    rec.deltaCount = reader.u32();
-    rec.newStateCount = reader.u32();
-    rec.mutationSeed = reader.u64();
-    rec.defer = reader.u32() != 0;
-    engine.pending_.push_back(rec);
-  }
+  wire::EngineImage image;
+  wire::FieldReader{reader}(image);
+  if (image.magic != kSnapshotMagic)
+    throw ipc::IpcError("bad session snapshot magic '" + image.magic + "'");
+  SessionEngine engine(std::move(image.config),
+                       machineFromJson(image.machine));
+  engine.lastApplied_ = image.lastApplied;
+  engine.planCount_ = image.planCount;
+  engine.pending_ = std::move(image.pending);
   return engine;
 }
+
+namespace {
+
+/// A session snapshot file: the engine, the client's ack point and the
+/// retained outcomes, then the replication trailer (fencing epoch, role).
+struct SnapshotFile {
+  SessionEngine engine;
+  std::uint64_t ackSeq = 0;
+  std::map<std::uint64_t, PlanOutcome> outcomes{};
+  std::uint64_t epoch = 1;
+  bool standby = false;
+};
+
+/// Verifies the fnv64 trailer of a snapshot file and decodes it.
+/// Snapshots from before replication end after the outcomes and read as
+/// epoch 1 primary.  Throws ipc::IpcError / Error on damage.
+SnapshotFile readSnapshotFile(std::string_view bytes) {
+  if (bytes.size() < 8) throw ipc::IpcError("snapshot too short");
+  const std::string_view body = bytes.substr(0, bytes.size() - 8);
+  ipc::MessageReader trailer(bytes.substr(body.size()));
+  if (trailer.u64() != fnv64(body))
+    throw ipc::IpcError("snapshot checksum mismatch");
+  ipc::MessageReader reader(body);
+  SnapshotFile file{SessionEngine::decodeSnapshot(reader)};
+  wire::FieldReader io{reader};
+  io(file.ackSeq, file.outcomes);
+  if (!reader.atEnd()) io(file.epoch, file.standby);
+  reader.expectEnd();
+  return file;
+}
+
+}  // namespace
 
 // --- SessionService -------------------------------------------------------
 
@@ -482,22 +515,10 @@ void SessionService::persistLocked(Session& session) {
       metrics::counter(metrics::kSessionSnapshots);
   ipc::MessageWriter writer;
   session.engine.encodeSnapshot(writer);
-  writer.u64(session.ackSeq);
-  writer.u32(static_cast<std::uint32_t>(session.outcomes.size()));
-  for (const auto& [seq, outcome] : session.outcomes) {
-    writer.u64(seq);
-    writer.u32(outcome.planned ? 1 : 0);
-    writer.u32(outcome.failed ? 1 : 0);
-    writer.str(outcome.error);
-    writer.str(outcome.program);
-    writer.u64(outcome.compactedFrom);
-    writer.u32(static_cast<std::uint32_t>(outcome.deltasPlanned));
-    writer.u32(static_cast<std::uint32_t>(outcome.deltasRaw));
-  }
-  // Replication metadata, appended so pre-replication snapshots (which
-  // simply end here) still decode: epoch 1, primary.
-  writer.u64(session.epoch);
-  writer.u32(session.standby ? 1 : 0);
+  // The replication trailer goes last, so snapshots written before it
+  // existed (ending after the outcomes) still decode: epoch 1, primary.
+  wire::FieldWriter{writer}(session.ackSeq, session.outcomes, session.epoch,
+                            session.standby);
   std::string body = writer.take();
   ipc::MessageWriter checksum;
   checksum.u64(fnv64(body));
@@ -536,51 +557,14 @@ bool SessionService::recoverOne(const std::string& base) {
   };
 
   // Snapshot (if any): full engine state + unacked outcomes.
-  std::optional<SessionEngine> engine;
-  std::uint64_t ackSeq = 0;
-  std::uint64_t snapEpoch = 1;
-  bool snapStandby = false;
-  std::map<std::uint64_t, PlanOutcome> outcomes;
+  std::optional<SnapshotFile> snap;
   if (const auto bytes = fsio::readFileIfExists(snapPath)) {
     try {
-      if (bytes->size() < 8) throw ipc::IpcError("snapshot too short");
-      const std::string_view body(bytes->data(), bytes->size() - 8);
-      ipc::MessageReader sumReader(
-          std::string_view(bytes->data() + body.size(), 8));
-      if (sumReader.u64() != fnv64(body))
-        throw ipc::IpcError("snapshot checksum mismatch");
-      ipc::MessageReader reader(body);
-      engine.emplace(SessionEngine::decodeSnapshot(reader));
-      ackSeq = reader.u64();
-      const std::uint32_t count = reader.u32();
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint64_t seq = reader.u64();
-        PlanOutcome outcome;
-        outcome.planned = reader.u32() != 0;
-        outcome.failed = reader.u32() != 0;
-        outcome.error = reader.str();
-        outcome.program = reader.str();
-        outcome.compactedFrom = reader.u64();
-        outcome.deltasPlanned = static_cast<int>(reader.u32());
-        outcome.deltasRaw = static_cast<int>(reader.u32());
-        outcomes.emplace(seq, std::move(outcome));
-      }
-      // Pre-replication snapshots end here; newer ones append the fencing
-      // epoch and the standby role.
-      if (!reader.atEnd()) {
-        snapEpoch = std::max<std::uint64_t>(1, reader.u64());
-        snapStandby = reader.u32() != 0;
-      }
-      reader.expectEnd();
+      snap.emplace(readSnapshotFile(*bytes));
     } catch (const Error& error) {
       log(LogLevel::kWarn) << "corrupt session snapshot '" << snapPath
                            << "': " << error.what();
       quarantine(snapPath);
-      engine.reset();
-      ackSeq = 0;
-      snapEpoch = 1;
-      snapStandby = false;
-      outcomes.clear();
     }
   }
 
@@ -610,32 +594,30 @@ bool SessionService::recoverOne(const std::string& base) {
     walValid = false;
     records.clear();
   }
-  if (!engine.has_value() && !walValid) return false;
-  if (engine.has_value() && walValid && engine->config() != walConfig) {
+  if (!snap.has_value() && !walValid) return false;
+  if (snap.has_value() && walValid && snap->engine.config() != walConfig) {
     // A snapshot that does not belong to this journal (stale leftover):
     // the journal is the source of truth from birth, the snapshot is not.
     log(LogLevel::kWarn) << "session snapshot '" << snapPath
                          << "' does not match its journal; rebuilding from "
                             "the journal";
     quarantine(snapPath);
-    engine.reset();
-    ackSeq = 0;
-    snapEpoch = 1;
-    snapStandby = false;
-    outcomes.clear();
+    snap.reset();
   }
-  const bool snapValid = engine.has_value();
-  if (!engine.has_value()) engine.emplace(SessionEngine(walConfig));
-
-  auto session = std::make_shared<Session>(std::move(*engine));
-  session->ackSeq = ackSeq;
-  session->outcomes = std::move(outcomes);
+  auto session = std::make_shared<Session>(
+      snap ? std::move(snap->engine) : SessionEngine(walConfig));
+  const std::uint64_t snapEpoch =
+      snap ? std::max<std::uint64_t>(1, snap->epoch) : 1;
+  if (snap) {
+    session->ackSeq = snap->ackSeq;
+    session->outcomes = std::move(snap->outcomes);
+  }
   // The journal's open record is rewritten on every epoch change, the
   // snapshot only every snapshotEvery records — take the newer of the two
   // (max is safe: epochs only ever grow) and the role that came with it.
-  session->epoch = std::max(walValid ? walEpoch : 1, snapValid ? snapEpoch : 1);
+  session->epoch = std::max(walValid ? walEpoch : 1, snapEpoch);
   session->standby = walValid && walEpoch >= snapEpoch ? walStandby
-                     : snapValid                       ? snapStandby
+                     : snap                            ? snap->standby
                                                        : walStandby;
   for (std::size_t k = walValid ? 1 : records.size(); k < records.size();
        ++k) {
@@ -1254,39 +1236,12 @@ SessionReplSnapshotResponse SessionService::replInstall(
       metrics::counter(metrics::kServiceStaleEpochRejected);
   SessionReplSnapshotResponse response;
   // Verify and decode before touching the store: the bytes are the
-  // primary's .snap file verbatim, checksum trailer included.
-  std::optional<SessionEngine> engine;
-  std::uint64_t ackSeq = 0;
-  std::map<std::uint64_t, PlanOutcome> outcomes;
+  // primary's .snap file verbatim, checksum trailer included.  Its epoch
+  // and role are not adopted: the frame's epoch governs, and we stay
+  // standby.
+  std::optional<SnapshotFile> snap;
   try {
-    const std::string& bytes = request.snapshot;
-    if (bytes.size() < 8) throw ipc::IpcError("snapshot too short");
-    const std::string_view body(bytes.data(), bytes.size() - 8);
-    ipc::MessageReader sumReader(
-        std::string_view(bytes.data() + body.size(), 8));
-    if (sumReader.u64() != fnv64(body))
-      throw ipc::IpcError("snapshot checksum mismatch");
-    ipc::MessageReader reader(body);
-    engine.emplace(SessionEngine::decodeSnapshot(reader));
-    ackSeq = reader.u64();
-    const std::uint32_t count = reader.u32();
-    for (std::uint32_t n = 0; n < count; ++n) {
-      const std::uint64_t seq = reader.u64();
-      PlanOutcome outcome;
-      outcome.planned = reader.u32() != 0;
-      outcome.failed = reader.u32() != 0;
-      outcome.error = reader.str();
-      outcome.program = reader.str();
-      outcome.compactedFrom = reader.u64();
-      outcome.deltasPlanned = static_cast<int>(reader.u32());
-      outcome.deltasRaw = static_cast<int>(reader.u32());
-      outcomes.emplace(seq, std::move(outcome));
-    }
-    if (!reader.atEnd()) {
-      reader.u64();  // the primary's epoch at snapshot time; the frame's
-      reader.u32();  // epoch governs, and our role stays standby
-    }
-    reader.expectEnd();
+    snap.emplace(readSnapshotFile(request.snapshot));
   } catch (const Error& error) {
     response.status = SessionStatus::kFailed;
     response.error = std::string("bad snapshot: ") + error.what();
@@ -1307,7 +1262,7 @@ SessionReplSnapshotResponse SessionService::replInstall(
       response.lastAccepted = session->lastAccepted;
       return response;
     }
-    if (engine->lastApplied() <= session->lastAccepted &&
+    if (snap->engine.lastApplied() <= session->lastAccepted &&
         request.epoch == session->epoch) {
       // We already hold everything this snapshot covers: no-op.
       response.status = SessionStatus::kOk;
@@ -1327,9 +1282,9 @@ SessionReplSnapshotResponse SessionService::replInstall(
       response.error = "session closed during snapshot install";
       return response;
     }
-    session->engine = std::move(*engine);
-    session->outcomes = std::move(outcomes);
-    session->ackSeq = ackSeq;
+    session->engine = std::move(snap->engine);
+    session->outcomes = std::move(snap->outcomes);
+    session->ackSeq = snap->ackSeq;
     session->applied = session->lastAccepted = session->engine.lastApplied();
     session->tail.clear();
     session->sinceSnapshot = 0;
@@ -1365,9 +1320,9 @@ SessionReplSnapshotResponse SessionService::replInstall(
                      std::to_string(options_.maxSessions) + ") reached";
     return response;
   }
-  auto session = std::make_shared<Session>(std::move(*engine));
-  session->outcomes = std::move(outcomes);
-  session->ackSeq = ackSeq;
+  auto session = std::make_shared<Session>(std::move(snap->engine));
+  session->outcomes = std::move(snap->outcomes);
+  session->ackSeq = snap->ackSeq;
   session->applied = session->lastAccepted = session->engine.lastApplied();
   session->standby = true;
   session->epoch = std::max<std::uint64_t>(1, request.epoch);

@@ -1,5 +1,6 @@
 #include "util/ipc.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -302,6 +303,14 @@ std::string MessageReader::str() {
   if (length > kMaxFrameBytes) throw IpcError("corrupt string length");
   const unsigned char* p = need(length);
   return std::string(reinterpret_cast<const char*>(p), length);
+}
+
+std::uint32_t MessageReader::count(std::size_t minBytesPerElement) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / std::max<std::size_t>(1, minBytesPerElement))
+    throw IpcError("corrupt list count " + std::to_string(n) + " (" +
+                   std::to_string(remaining()) + " bytes left)");
+  return n;
 }
 
 void MessageReader::expectEnd() const {

@@ -112,9 +112,10 @@ bool pendingInput(int fd);
 
 // --- Message encoding ----------------------------------------------------
 //
-// Frames carry flat sequences of little-endian integers and u32-length-
-// prefixed strings.  The reader throws IpcError on truncation, so a torn or
-// corrupted payload can never be silently misparsed.
+// Frames carry flat sequences of little-endian integers, u32-length-
+// prefixed strings and u32-counted lists.  The reader throws IpcError on
+// truncation and on counts the payload cannot hold, so a torn or corrupted
+// payload can never be silently misparsed or turned into a huge allocation.
 
 class MessageWriter {
  public:
@@ -140,7 +141,12 @@ class MessageReader {
   std::uint64_t u64();
   std::int64_t i64();
   std::string str();
+  /// Reads a list count, throwing IpcError when the remaining bytes could
+  /// not hold that many elements of at least `minBytesPerElement` each —
+  /// so a corrupt count fails before anything is allocated for it.
+  std::uint32_t count(std::size_t minBytesPerElement);
 
+  std::size_t remaining() const { return payload_.size() - pos_; }
   bool atEnd() const { return pos_ == payload_.size(); }
   /// Throws IpcError unless the whole payload was consumed (catches
   /// encoder/decoder drift early).

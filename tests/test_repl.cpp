@@ -27,6 +27,7 @@
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace rfsm {
 namespace {
@@ -592,6 +593,123 @@ TEST(ReplStandby, SnapshotInstallSeedsAStandbyForTailReplay) {
   install.snapshot[install.snapshot.size() / 2] ^= 0x40;
   install.tenant = "poisoned";
   EXPECT_NE(fresh.replInstall(install).status, SessionStatus::kOk);
+}
+
+// --- Snapshot files from older builds and from hostile peers --------------
+
+/// FNV-1a 64: the snapshot file's checksum trailer.
+std::uint64_t fnv64(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// `body` followed by a valid checksum trailer.
+std::string sealSnapshot(const std::string& body) {
+  ipc::MessageWriter trailer;
+  trailer.u64(fnv64(body));
+  return body + trailer.take();
+}
+
+/// Streams mutations 1..4 (3 deferred) into a durable session, drains it,
+/// and returns the snapshot file it left behind.
+std::string drainedSnapshot(const std::string& stateDir,
+                            const SessionConfig& config) {
+  SessionServiceOptions options;
+  options.stateDir = stateDir;
+  options.snapshotEvery = 0;
+  SessionService store(options);
+  EXPECT_EQ(store.open(openRequestFor(config)).status, SessionStatus::kOk);
+  for (std::uint64_t k = 1; k <= 4; ++k)
+    store.mutate(mutateRequestFor(config, mut(k, k == 3)));
+  EXPECT_EQ(store.drain(), 1u);
+  return fsio::readFileIfExists(stateDir + "/" + config.tenant + "@" +
+                                config.name + ".snap")
+      .value_or("");
+}
+
+TEST(ReplSnapshot, PreReplicationSnapshotRecoversAsEpochOnePrimary) {
+  // Snapshots written before the replication plane end after the outcome
+  // list: no epoch/standby trailer.  They must still recover, as epoch 1
+  // primary, rather than be quarantined.
+  TempDir dir;
+  const SessionConfig config = smallConfig();
+  const std::string bytes = drainedSnapshot(dir.path, config);
+  ASSERT_GT(bytes.size(), 20u);
+  const std::string body = bytes.substr(0, bytes.size() - 8 - 12);
+  fsio::writeFileDurable(dir.path + "/t@s.snap", sealSnapshot(body));
+
+  SessionServiceOptions options;
+  options.stateDir = dir.path;
+  SessionService recovered(options);
+  EXPECT_EQ(recovered.quarantined(), 0u);
+  EXPECT_EQ(recovered.recoveredSessions(), 1u);
+  const auto status = recovered.status({config.tenant, config.name});
+  ASSERT_EQ(status.status, SessionStatus::kOk);
+  EXPECT_EQ(status.role, "primary");
+  EXPECT_EQ(status.epoch, 1u);
+  EXPECT_EQ(status.lastAccepted, 4u);
+
+  SessionEngine reference(config);
+  for (std::uint64_t k = 1; k <= 4; ++k) reference.apply(mut(k, k == 3));
+  const PlanOutcome expected = reference.apply(mut(5));
+  const auto response = recovered.mutate(mutateRequestFor(config, mut(5)));
+  ASSERT_EQ(response.status, SessionStatus::kOk) << response.error;
+  EXPECT_EQ(response.program, expected.program);
+}
+
+TEST(ReplSnapshot, MutatedSnapshotsWithValidChecksumsFailTyped) {
+  // fnv64 is not a MAC: a peer can ship any body under a matching trailer.
+  // Whatever it ships, replInstall must answer with a reply (kFailed for a
+  // body that does not decode), never a bad_alloc or a contract violation.
+  TempDir dir;
+  const SessionConfig config = smallConfig();
+  const std::string bytes = drainedSnapshot(dir.path, config);
+  ASSERT_GT(bytes.size(), 8u);
+  const std::string body = bytes.substr(0, bytes.size() - 8);
+
+  SessionService standby(SessionServiceOptions{});
+  Rng rng(20261017);
+  int failed = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::string mutated = body;
+    const std::size_t pos = static_cast<std::size_t>(rng.below(body.size()));
+    switch (rng.below(3)) {
+      case 0:  // a count or length blown up to 0xFFFFFFFF
+        mutated.replace(pos, 4, 4, '\xff');
+        break;
+      case 1:
+        for (int e = 0; e < 4; ++e)
+          mutated[rng.below(mutated.size())] =
+              static_cast<char>(rng.below(256));
+        break;
+      default:
+        mutated.resize(pos);
+    }
+    service::SessionReplSnapshotRequest install;
+    install.tenant = config.tenant;
+    install.name = config.name;
+    install.epoch = 1;
+    install.snapshot = sealSnapshot(mutated);
+    try {
+      const auto reply = standby.replInstall(install);
+      ASSERT_TRUE(reply.status == SessionStatus::kOk ||
+                  reply.status == SessionStatus::kFailed)
+          << toString(reply.status) << " in round " << round;
+      if (reply.status == SessionStatus::kFailed) {
+        ++failed;
+        EXPECT_EQ(reply.error.find("contract violated"), std::string::npos)
+            << reply.error;
+      }
+    } catch (const std::exception& error) {
+      FAIL() << "replInstall threw in round " << round << ": "
+             << error.what();
+    }
+  }
+  EXPECT_GT(failed, 200);
 }
 
 // --- Replicator transport (no standby listening) --------------------------
