@@ -25,8 +25,9 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
              "2-opt seed must cover all loop deltas");
   RFSM_CHECK(isPermutation(order), "2-opt seed must be a permutation");
 
+  OrderScorer scorer(context, options);
   LocalSearchPlan plan;
-  plan.program = decodeOrder(context, order, options);
+  int bestLength = scorer.length(order);
   ++plan.evaluations;
 
   bool improved = true;
@@ -40,11 +41,10 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
            ++j) {
         std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
                      order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-        ReconfigurationProgram candidate =
-            decodeOrder(context, order, options);
+        const int candidateLength = scorer.length(order);
         ++plan.evaluations;
-        if (candidate.length() < plan.program.length()) {
-          plan.program = std::move(candidate);
+        if (candidateLength < bestLength) {
+          bestLength = candidateLength;
           ++plan.improvements;
           improved = true;  // first improvement: restart scan
         } else {
@@ -55,6 +55,8 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
       }
     }
   }
+  // `order` is the best order found: every non-improving move was undone.
+  plan.program = scorer.decode(order);
   return plan;
 }
 
@@ -63,9 +65,10 @@ LocalSearchPlan planAnnealing(const MigrationContext& context,
                               const DecodeOptions& options) {
   metrics::ScopedTimer timing(metrics::timer("planner.anneal"));
   const int n = loopDeltaCount(context, options.tempInput);
+  OrderScorer scorer(context, options);
   LocalSearchPlan plan;
   std::vector<int> current = randomPermutation(n, rng);
-  int currentLength = decodeOrder(context, current, options).length();
+  int currentLength = scorer.length(current);
   ++plan.evaluations;
   std::vector<int> best = current;
   int bestLength = currentLength;
@@ -74,8 +77,7 @@ LocalSearchPlan planAnnealing(const MigrationContext& context,
   for (int move = 0; move < config.moves && n >= 2; ++move) {
     std::vector<int> candidate = current;
     swapMutation(candidate, rng);
-    const int candidateLength =
-        decodeOrder(context, candidate, options).length();
+    const int candidateLength = scorer.length(candidate);
     ++plan.evaluations;
     const int delta = candidateLength - currentLength;
     if (delta <= 0 ||
@@ -90,7 +92,7 @@ LocalSearchPlan planAnnealing(const MigrationContext& context,
     }
     temperature *= config.coolingRate;
   }
-  plan.program = decodeOrder(context, best, options);
+  plan.program = scorer.decode(best);
   ++plan.evaluations;
   return plan;
 }

@@ -16,13 +16,22 @@ namespace {
 
 constexpr int kInfinity = std::numeric_limits<int>::max() / 4;
 
+}  // namespace
+
+namespace detail {
+
 /// Shared machinery of the order-decoding planners: tracks the machine
 /// under reconfiguration, emits steps, connects to delta sources, and
-/// repairs the temporary cell at the end.
+/// repairs the temporary cell at the end.  rewind() returns a used decoder
+/// to the state its constructor left it in, so one decoder can decode many
+/// orders (OrderScorer).
 class Decoder {
  public:
   Decoder(const MigrationContext& context, const DecodeOptions& options)
-      : context_(context), options_(options), machine_(context) {
+      : context_(context),
+        options_(options),
+        machine_(context),
+        image_(machine_.checkpoint()) {
     machine_.setCancel(options.cancel);
     i0_ = options.tempInput == kNoSymbol ? context.liftTargetInput(0)
                                          : options.tempInput;
@@ -39,6 +48,16 @@ class Decoder {
     }
     // Programs start with a reset transition: the machine may be anywhere
     // when reconfiguration begins (JSR line (3)).
+    emit(ReconfigStep::reset());
+  }
+
+  /// Restores M's tables and starts a new program.  restore() bumps the
+  /// table version, so no BFS tree of the previous decode is served; the
+  /// table and step buffers keep their capacity.
+  void rewind() {
+    machine_.restore(image_);
+    program_.steps.clear();
+    tempDirty_ = false;
     emit(ReconfigStep::reset());
   }
 
@@ -64,15 +83,17 @@ class Decoder {
   }
 
   /// Repairs the temporary cell and terminates in S0'.
-  ReconfigurationProgram finish() {
+  void finish() {
     if (tempDirty_ || tempCellIsDelta_) {
       if (machine_.state() != s0_) emit(ReconfigStep::reset());
       emit(ReconfigStep::rewrite(i0_, context_.targetNext(i0_, s0_),
                                  context_.targetOutput(i0_, s0_)));
     }
     if (machine_.state() != s0_) emit(ReconfigStep::reset());
-    return std::move(program_);
   }
+
+  int length() const { return program_.length(); }
+  ReconfigurationProgram takeProgram() { return std::move(program_); }
 
  private:
   enum class Connect { kWalk, kResetWalk, kTemporary };
@@ -152,6 +173,7 @@ class Decoder {
   const MigrationContext& context_;
   DecodeOptions options_;
   MutableMachine machine_;
+  const MutableMachine::TableImage image_;  // M's tables, for rewind()
   ReconfigurationProgram program_;
   std::vector<Transition> loopDeltas_;
   SymbolId i0_ = kNoSymbol;
@@ -160,6 +182,45 @@ class Decoder {
   bool tempDirty_ = false;
   bool tempCellIsDelta_ = false;
 };
+
+}  // namespace detail
+
+namespace {
+
+using detail::Decoder;
+
+/// The one decode body, shared by decodeOrder (fresh decoder) and
+/// OrderScorer (rewound decoder): per-call telemetry and cancellation, the
+/// order checks, then every delta in order and the temp-cell repair.
+/// `acquire` hands over the decoder inside the timed scope.
+template <class Acquire>
+auto runDecode(const std::vector<int>& order, const CancelToken* cancel,
+               Acquire&& acquire) {
+  static metrics::Counter& decodeCalls =
+      metrics::counter(metrics::kDecodeCalls);
+  static metrics::Histogram& decodeLatency =
+      metrics::histogram(metrics::kDecodeLatency);
+  decodeCalls.add();
+  pollCancel(cancel, "planner.decode");
+  metrics::ScopedLatency latency(decodeLatency);
+  // The span's arg is formatted only while tracing records it.
+  trace::ScopedSpan span =
+      trace::enabled()
+          ? trace::ScopedSpan("planner.decode", "planner",
+                              {trace::Arg::num("deltas",
+                                               static_cast<std::int64_t>(
+                                                   order.size()))})
+          : trace::ScopedSpan("planner.decode", "planner");
+  auto decoder = acquire();
+  const auto& deltas = decoder->loopDeltas();
+  RFSM_CHECK(order.size() == deltas.size(),
+             "order must be a permutation of the loop deltas");
+  RFSM_CHECK(isPermutation(order), "order must be a permutation");
+  for (const int index : order)
+    decoder->processDelta(deltas[static_cast<std::size_t>(index)]);
+  decoder->finish();
+  return decoder;
+}
 
 }  // namespace
 
@@ -176,25 +237,49 @@ int loopDeltaCount(const MigrationContext& context, SymbolId tempInput) {
 ReconfigurationProgram decodeOrder(const MigrationContext& context,
                                    const std::vector<int>& order,
                                    const DecodeOptions& options) {
-  static metrics::Counter& decodeCalls =
-      metrics::counter(metrics::kDecodeCalls);
-  static metrics::Histogram& decodeLatency =
-      metrics::histogram(metrics::kDecodeLatency);
-  decodeCalls.add();
-  pollCancel(options.cancel, "planner.decode");
-  metrics::ScopedLatency latency(decodeLatency);
-  trace::ScopedSpan span("planner.decode", "planner",
-                         {trace::Arg::num(
-                             "deltas", static_cast<std::int64_t>(
-                                           order.size()))});
-  Decoder decoder(context, options);
-  const auto& deltas = decoder.loopDeltas();
-  RFSM_CHECK(order.size() == deltas.size(),
-             "order must be a permutation of the loop deltas");
-  RFSM_CHECK(isPermutation(order), "order must be a permutation");
-  for (const int index : order)
-    decoder.processDelta(deltas[static_cast<std::size_t>(index)]);
-  return decoder.finish();
+  return runDecode(order, options.cancel, [&] {
+           return std::make_unique<Decoder>(context, options);
+         })->takeProgram();
+}
+
+OrderScorer::OrderScorer(const MigrationContext& context,
+                         const DecodeOptions& options)
+    : context_(context), options_(options) {}
+
+OrderScorer::~OrderScorer() = default;
+
+std::unique_ptr<Decoder> OrderScorer::acquire() {
+  std::unique_ptr<Decoder> decoder;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.empty()) return std::make_unique<Decoder>(context_, options_);
+    decoder = std::move(free_.back());
+    free_.pop_back();
+  }
+  decoder->rewind();  // before each use: a returned decoder is still dirty
+  return decoder;
+}
+
+void OrderScorer::release(std::unique_ptr<Decoder> decoder) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  free_.push_back(std::move(decoder));
+}
+
+int OrderScorer::length(const std::vector<int>& order) {
+  // A throwing decode unwinds past release(): its decoder is dropped.
+  std::unique_ptr<Decoder> decoder =
+      runDecode(order, options_.cancel, [this] { return acquire(); });
+  const int length = decoder->length();
+  release(std::move(decoder));
+  return length;
+}
+
+ReconfigurationProgram OrderScorer::decode(const std::vector<int>& order) {
+  std::unique_ptr<Decoder> decoder =
+      runDecode(order, options_.cancel, [this] { return acquire(); });
+  ReconfigurationProgram program = decoder->takeProgram();
+  release(std::move(decoder));
+  return program;
 }
 
 ReconfigurationProgram planGreedy(const MigrationContext& context,
@@ -219,7 +304,8 @@ ReconfigurationProgram planGreedy(const MigrationContext& context,
     done[static_cast<std::size_t>(best)] = true;
     decoder.processDelta(deltas[static_cast<std::size_t>(best)]);
   }
-  return decoder.finish();
+  decoder.finish();
+  return decoder.takeProgram();
 }
 
 EvolutionaryPlan planEvolutionary(const MigrationContext& context,
@@ -229,13 +315,14 @@ EvolutionaryPlan planEvolutionary(const MigrationContext& context,
   metrics::ScopedTimer timing(metrics::timer("planner.ea"));
   trace::ScopedSpan span("planner.ea", "planner");
   const int n = loopDeltaCount(context, options.tempInput);
+  OrderScorer scorer(context, options);
   const FitnessFn fitness = [&](const Permutation& order) {
-    return static_cast<double>(decodeOrder(context, order, options).length());
+    return static_cast<double>(scorer.length(order));
   };
   const EvolutionResult evo = evolvePermutation(n, fitness, config, rng, pool);
 
   EvolutionaryPlan plan;
-  plan.program = decodeOrder(context, evo.best, options);
+  plan.program = scorer.decode(evo.best);
   plan.evaluations = evo.evaluations;
   plan.initialBest =
       evo.history.empty() ? evo.bestFitness : evo.history.front().bestFitness;
@@ -254,13 +341,17 @@ std::optional<ReconfigurationProgram> planExact(const MigrationContext& context,
   if (n > maxDeltas) return std::nullopt;
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
-  std::optional<ReconfigurationProgram> best;
+  OrderScorer scorer(context, options);
+  std::vector<int> best;
+  int bestLength = kInfinity;
   do {
-    ReconfigurationProgram candidate = decodeOrder(context, order, options);
-    if (!best.has_value() || candidate.length() < best->length())
-      best = std::move(candidate);
+    const int length = scorer.length(order);
+    if (length < bestLength) {
+      bestLength = length;
+      best = order;
+    }
   } while (std::next_permutation(order.begin(), order.end()));
-  return best;
+  return scorer.decode(best);
 }
 
 ReconfigurationProgram planNoTemporary(const MigrationContext& context,

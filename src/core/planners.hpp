@@ -10,6 +10,8 @@
 //    reset + temporary transition (DecodeRule::kPaper); kBestOfThree is an
 //    improved decoder for the ablation study that also considers longer
 //    walks and reset-then-walk connections.
+//  * OrderScorer                 — decodeOrder on reused decoders, for the
+//    planners that score many orders.
 //  * planGreedy                  — nearest-neighbour order, paper decoder.
 //  * planEvolutionary            — the paper's EA over delta permutations.
 //  * planExact                   — exhaustive search over orders (small
@@ -19,6 +21,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,6 +72,38 @@ ReconfigurationProgram decodeOrder(const MigrationContext& context,
 /// cell (i0, S0')).
 int loopDeltaCount(const MigrationContext& context,
                    SymbolId tempInput = kNoSymbol);
+
+namespace detail {
+class Decoder;
+}  // namespace detail
+
+/// Scores delta orders for the search planners (EA, 2-opt, annealing,
+/// exact) without rebuilding the machine for every evaluation.  Each call
+/// runs decodeOrder's body on a decoder from a free list, rewound to M's
+/// table image first; a call that throws drops its decoder instead of
+/// returning it.  Thread-safe: the list holds one decoder per concurrent
+/// caller.  The context must outlive the scorer.
+class OrderScorer {
+ public:
+  explicit OrderScorer(const MigrationContext& context,
+                       const DecodeOptions& options = {});
+  ~OrderScorer();
+
+  /// decodeOrder(context, order, options).length().
+  int length(const std::vector<int>& order);
+
+  /// decodeOrder(context, order, options), decoded on a reused decoder.
+  ReconfigurationProgram decode(const std::vector<int>& order);
+
+ private:
+  std::unique_ptr<detail::Decoder> acquire();
+  void release(std::unique_ptr<detail::Decoder> decoder);
+
+  const MigrationContext& context_;
+  DecodeOptions options_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<detail::Decoder>> free_;
+};
 
 /// Nearest-neighbour ordering under the decoder's connection cost.
 ReconfigurationProgram planGreedy(const MigrationContext& context,

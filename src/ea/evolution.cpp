@@ -143,9 +143,11 @@ EvolutionResult evolvePermutation(int genomeLength, const FitnessFn& fitness,
     result.history.push_back(GenerationStats{
         population.front().fitness,
         sum / static_cast<double>(population.size())});
-    span.addArg(trace::Arg::num("best", population.front().fitness));
-    span.addArg(trace::Arg::num(
-        "mean", sum / static_cast<double>(population.size())));
+    if (trace::enabled()) {  // Arg::num(double) formats through a stream
+      span.addArg(trace::Arg::num("best", population.front().fitness));
+      span.addArg(trace::Arg::num(
+          "mean", sum / static_cast<double>(population.size())));
+    }
 
     if (population.front().fitness < result.bestFitness) {
       result.bestFitness = population.front().fitness;

@@ -224,6 +224,28 @@ TEST(PlanEvolutionaryBatch, BitIdenticalForEveryJobCount) {
   }
 }
 
+TEST(PlanEvolutionaryBatch, BitIdenticalUnderBestOfThree) {
+  // kBestOfThree walks the BFS cache, which every reused decoder rewinds.
+  const auto instances = makeInstances(5);
+  EvolutionConfig config;
+  config.generations = 20;
+  DecodeOptions decode;
+  decode.rule = DecodeRule::kBestOfThree;
+  BatchOptions serial, parallel;
+  serial.jobs = 1;
+  parallel.jobs = 3;
+  const auto a = planEvolutionaryBatch(instances, config, serial, decode);
+  const auto b = planEvolutionaryBatch(instances, config, parallel, decode);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].program.steps, b[k].program.steps) << "instance " << k;
+    EXPECT_EQ(a[k].evaluations, b[k].evaluations);
+    EXPECT_EQ(a[k].initialBest, b[k].initialBest);
+    EXPECT_EQ(a[k].bestPerGeneration, b[k].bestPerGeneration);
+    EXPECT_TRUE(validateProgram(instances[k], a[k].program).valid);
+  }
+}
+
 TEST(PlanEvolutionary, PooledFitnessMatchesSerial) {
   const MigrationContext context = makeInstance(10, 8, 321);
   EvolutionConfig config;
@@ -288,6 +310,22 @@ TEST(BfsCache, MatchesUncachedReferenceAfterEveryWrite) {
   EXPECT_TRUE(machine.matchesTarget());
 }
 
+TEST(BfsCache, RestoreInvalidatesTreesCachedAfterTheLastWrite) {
+  // The reusable decoders rewind through restore(): a tree cached against
+  // the rewritten table must not be served for the restored one.
+  const MigrationContext context = makeInstance(9, 7, 556);
+  MutableMachine machine(context);
+  const MutableMachine::TableImage image = machine.checkpoint();
+  machine.applyProgram(planJsr(context));
+  const int stateCount = static_cast<int>(context.states().size());
+  for (SymbolId from = 0; from < stateCount; ++from)
+    machine.distancesFrom(from);  // cache every tree at the final version
+  machine.restore(image);
+  for (SymbolId from = 0; from < stateCount; ++from)
+    EXPECT_EQ(machine.distancesFrom(from), referenceDistances(machine, from))
+        << "from " << from;
+}
+
 TEST(BfsCache, PathInputsWalkToTheTarget) {
   const MigrationContext context = makeInstance(8, 5, 808);
   MutableMachine machine(context);
@@ -318,7 +356,12 @@ TEST(Telemetry, BatchPlanningFeedsTheCounters) {
   const auto plans = planEvolutionaryBatch(instances, config);
   for (std::size_t k = 0; k < plans.size(); ++k)
     validateProgram(instances[k], plans[k].program);
-  EXPECT_GT(metrics::counter(metrics::kDecodeCalls).value(), 0u);
+  // One decode per fitness evaluation plus the final full decode of the
+  // best order, per planEvolutionary run.
+  std::uint64_t decodes = 0;
+  for (const EvolutionaryPlan& plan : plans)
+    decodes += static_cast<std::uint64_t>(plan.evaluations) + 1;
+  EXPECT_EQ(metrics::counter(metrics::kDecodeCalls).value(), decodes);
   EXPECT_EQ(metrics::counter(metrics::kProgramsValidated).value(),
             instances.size());
   EXPECT_GT(metrics::timer("batch.plan_evolutionary").count(), 0u);

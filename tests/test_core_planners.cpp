@@ -3,14 +3,21 @@
 // greedy / evolutionary / exact planners (Sec. 4.6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <numeric>
+#include <string>
 
 #include "core/apply.hpp"
 #include "core/bounds.hpp"
 #include "core/jsr.hpp"
 #include "core/planners.hpp"
+#include "ea/permutation.hpp"
 #include "gen/families.hpp"
+#include "gen/generator.hpp"
+#include "gen/mutator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rfsm {
 namespace {
@@ -218,6 +225,162 @@ TEST(Planners, EvolutionaryDeterministicForSeed) {
   const auto planB = planEvolutionary(context, config, b);
   EXPECT_EQ(planA.program.length(), planB.program.length());
   EXPECT_EQ(planA.evaluations, planB.evaluations);
+}
+
+// ---------------------------------------------------------------------------
+// OrderScorer: decoders reused across orders decode exactly like fresh ones.
+// ---------------------------------------------------------------------------
+
+MigrationContext randomContext(int states, int deltas, int newStates,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  RandomMachineSpec spec;
+  spec.stateCount = states;
+  spec.inputCount = 3;
+  spec.outputCount = 2;
+  const Machine source = randomMachine(spec, rng);
+  MutationSpec mutation;
+  mutation.deltaCount = deltas;
+  mutation.newStateCount = newStates;
+  return MigrationContext(source, mutateMachine(source, mutation, rng));
+}
+
+/// Scores `rounds` random orders on one scorer, alternating length() and
+/// decode(), each against a fresh decodeOrder.  Returns how many decodes
+/// followed one that wrote a temporary transition.
+int expectScorerMatchesFresh(const MigrationContext& context,
+                             const DecodeOptions& options,
+                             std::uint64_t seed, int rounds = 24) {
+  OrderScorer scorer(context, options);
+  Rng rng(seed);
+  const int n = loopDeltaCount(context, options.tempInput);
+  int afterTemporary = 0;
+  bool previousTemporary = false;
+  for (int round = 0; round < rounds; ++round) {
+    const std::vector<int> order = randomPermutation(n, rng);
+    const ReconfigurationProgram fresh = decodeOrder(context, order, options);
+    if (round % 2 == 0) {
+      EXPECT_EQ(scorer.length(order), fresh.length()) << "round " << round;
+    } else {
+      EXPECT_EQ(scorer.decode(order).steps, fresh.steps) << "round " << round;
+    }
+    if (previousTemporary) ++afterTemporary;
+    previousTemporary = fresh.temporaryCount() > 0;
+  }
+  return afterTemporary;
+}
+
+TEST(OrderScorer, ReusedDecodersMatchFreshUnderBothRules) {
+  const MigrationContext context = randomContext(12, 9, 0, 4101);
+  DecodeOptions paper;
+  DecodeOptions best;
+  best.rule = DecodeRule::kBestOfThree;
+  // The paper rule writes temporary transitions, so later decodes start on
+  // a decoder whose temp cell and BFS cache the previous order dirtied.
+  EXPECT_GT(expectScorerMatchesFresh(context, paper, 1), 0);
+  expectScorerMatchesFresh(context, best, 2);
+}
+
+TEST(OrderScorer, MatchesFreshWithoutTemporaries) {
+  const MigrationContext context = randomContext(10, 8, 0, 4102);
+  DecodeOptions options;
+  options.rule = DecodeRule::kBestOfThree;
+  options.allowTemporary = false;
+  expectScorerMatchesFresh(context, options, 3);
+}
+
+TEST(OrderScorer, MatchesFreshWithNewStates) {
+  const MigrationContext context = randomContext(9, 14, 3, 4103);
+  ASSERT_GT(context.states().size(), context.sourceMachine().stateCount());
+  for (const DecodeRule rule : {DecodeRule::kPaper, DecodeRule::kBestOfThree}) {
+    DecodeOptions options;
+    options.rule = rule;
+    expectScorerMatchesFresh(context, options, 4);
+  }
+}
+
+TEST(OrderScorer, MatchesFreshWhenTheTempCellIsADelta) {
+  const MigrationContext context = randomContext(8, 10, 0, 4104);
+  // Pick i0 so that (i0, S0') is itself a delta transition.
+  DecodeOptions options;
+  for (const Transition& td : context.deltaTransitions())
+    if (td.from == context.targetReset()) options.tempInput = td.input;
+  ASSERT_NE(options.tempInput, kNoSymbol);
+  ASSERT_EQ(loopDeltaCount(context, options.tempInput) + 1,
+            static_cast<int>(context.deltaTransitions().size()));
+  expectScorerMatchesFresh(context, options, 5);
+  options.rule = DecodeRule::kBestOfThree;
+  expectScorerMatchesFresh(context, options, 6);
+}
+
+TEST(OrderScorer, DecodeAfterAMidRunCancelMatchesFresh) {
+  const MigrationContext context = randomContext(96, 40, 0, 4105);
+  CancelToken token;
+  DecodeOptions options;
+  options.rule = DecodeRule::kBestOfThree;  // polls the token per BFS scan
+  options.cancel = &token;
+  OrderScorer scorer(context, options);
+  Rng rng(7);
+  const int n = loopDeltaCount(context);
+  const auto disarm = [&] {
+    token.setDeadline(CancelToken::Clock::now() + std::chrono::hours(1));
+  };
+  disarm();
+  const std::vector<int> order = randomPermutation(n, rng);
+  const int freshLength = decodeOrder(context, order, options).length();
+  auto decodeTime = CancelToken::Clock::duration::max();
+  for (int k = 0; k < 5; ++k) {
+    const auto start = CancelToken::Clock::now();
+    scorer.length(order);
+    decodeTime = std::min(decodeTime, CancelToken::Clock::now() - start);
+  }
+
+  // Deadlines inside one decode's duration cut it at a BFS poll, past the
+  // entry check, with the decoder part-way through its rewrites.
+  int midRunCancels = 0;
+  for (int attempt = 0; attempt < 64 && midRunCancels < 3; ++attempt) {
+    token.setDeadline(CancelToken::Clock::now() +
+                      decodeTime * (1 + attempt % 8) / 10);
+    try {
+      scorer.length(order);
+    } catch (const CancelledError& error) {
+      if (std::string(error.what()).find("planner.bfs") != std::string::npos)
+        ++midRunCancels;
+    }
+    disarm();
+    EXPECT_EQ(scorer.length(order), freshLength) << "attempt " << attempt;
+    const std::vector<int> other = randomPermutation(n, rng);
+    EXPECT_EQ(scorer.decode(other).steps,
+              decodeOrder(context, other, options).steps);
+  }
+  EXPECT_GT(midRunCancels, 0);
+}
+
+TEST(OrderScorer, ConcurrentCallersMatchFresh) {
+  const MigrationContext context = randomContext(16, 12, 1, 4106);
+  DecodeOptions options;
+  options.rule = DecodeRule::kBestOfThree;
+  OrderScorer scorer(context, options);
+  Rng rng(8);
+  const int n = loopDeltaCount(context);
+  std::vector<std::vector<int>> orders;
+  for (int k = 0; k < 64; ++k) orders.push_back(randomPermutation(n, rng));
+  std::vector<int> lengths(orders.size());
+  ThreadPool pool(4);
+  pool.parallelFor(orders.size(), [&](std::size_t k) {
+    lengths[k] = scorer.length(orders[k]);
+  });
+  for (std::size_t k = 0; k < orders.size(); ++k)
+    EXPECT_EQ(lengths[k], decodeOrder(context, orders[k], options).length());
+}
+
+TEST(OrderScorer, RejectsNonPermutationsAndStaysUsable) {
+  const MigrationContext context(example41Source(), example41Target());
+  OrderScorer scorer(context);
+  EXPECT_THROW(scorer.length({0, 0, 1, 2}), ContractError);
+  EXPECT_THROW(scorer.length({0}), ContractError);
+  const std::vector<int> order = {3, 1, 0, 2};
+  EXPECT_EQ(scorer.decode(order).steps, decodeOrder(context, order).steps);
 }
 
 }  // namespace
