@@ -1,8 +1,10 @@
 #include "service/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -99,6 +101,35 @@ bool parseMutPayload(const std::string& payload, MutationRecord& rec) {
     return false;
   }
   return rec.seq > 0;
+}
+
+/// A session config from an open or replAppend frame (the same fields).
+template <class Request>
+SessionConfig configOf(const Request& request) {
+  SessionConfig config;
+  config.tenant = request.tenant;
+  config.name = request.name;
+  config.priority = static_cast<int>(request.priority);
+  config.weight =
+      static_cast<double>(std::max<std::uint32_t>(1, request.weight));
+  config.planner = request.planner;
+  config.stateCount = request.stateCount;
+  config.inputCount = request.inputCount;
+  config.outputCount = request.outputCount;
+  config.seed = request.seed;
+  return config;
+}
+
+/// The journaled record of a mutate or replAppend frame.
+template <class Request>
+MutationRecord recordOf(const Request& request) {
+  MutationRecord rec;
+  rec.seq = request.seq;
+  rec.deltaCount = request.deltaCount;
+  rec.newStateCount = request.newStateCount;
+  rec.mutationSeed = request.mutationSeed;
+  rec.defer = request.defer;
+  return rec;
 }
 
 /// The wire form of one journaled record for the replication plane:
@@ -308,17 +339,74 @@ SnapshotFile readSnapshotFile(std::string_view bytes) {
 
 // --- SessionService -------------------------------------------------------
 
-struct SessionService::Session {
-  explicit Session(SessionEngine e)
-      : engine(std::move(e)), wal(kWalHeader) {}
+namespace {
 
+/// The session whose task the calling thread is running (null off the
+/// executors).  A replicator callback fired by a quorum ship inside that
+/// session's own task must run inline: queueing it would wait on itself.
+thread_local const void* runningSession = nullptr;
+
+template <class Response>
+Response unknownSession(const std::string& tenant, const std::string& name) {
+  Response response;
+  response.status = SessionStatus::kNotFound;
+  response.error = "unknown session " + tenant + "/" + name;
+  return response;
+}
+
+template <class Response>
+Response failed(std::string error) {
+  Response response;
+  response.status = SessionStatus::kFailed;
+  response.error = std::move(error);
+  return response;
+}
+
+constexpr const char* kBadNames =
+    "tenant/session names must be 1-64 chars of [A-Za-z0-9._-]";
+
+/// The epoch fence (replAppend, replInstall): a frame from an older epoch
+/// — or from a twin primary at the receiver's own epoch — comes from a
+/// deposed primary still streaming.  Fills the counted and logged
+/// kStaleEpoch reply and returns true when `epoch` is fenced out.
+template <class SessionT, class Response>
+bool refuseStaleEpoch(const SessionT& session, std::uint64_t epoch,
+                      const char* frame, Response& response) {
+  static metrics::Counter& staleRejected =
+      metrics::counter(metrics::kServiceStaleEpochRejected);
+  response.epoch = session.epoch;
+  response.lastAccepted = session.lastAccepted;
+  if (epoch > session.epoch || (epoch == session.epoch && session.standby))
+    return false;
+  staleRejected.add();
+  response.status = SessionStatus::kStaleEpoch;
+  response.error = "stale epoch " + std::to_string(epoch) + " (current " +
+                   std::to_string(session.epoch) + ")";
+  log(LogLevel::kWarn) << "session " << session.key
+                       << " refused stale-epoch " << frame << " (epoch "
+                       << epoch << ", current " << session.epoch << ")";
+  return true;
+}
+
+}  // namespace
+
+/// One session.  Every field but `mirror` belongs to the session's
+/// scheduler flow: only the task holding the flow's in-flight slot reads or
+/// writes it, so none of it is guarded by the store mutex.
+struct SessionService::Session {
+  Session(std::string k, SessionEngine e)
+      : key(std::move(k)), config(e.config()), engine(std::move(e)),
+        wal(kWalHeader) {}
+
+  const std::string key;       ///< "tenant@name": map key and flow name
+  const SessionConfig config;  ///< the engine's config, readable anywhere
   SessionEngine engine;
-  /// Journal high-water mark: highest seq accepted (journaled + queued).
+  /// Set by this session's close task: every later task of this object
+  /// answers kNotFound.
+  bool closed = false;
+  /// Journal high-water mark: highest seq accepted.  Records past
+  /// engine.lastApplied() wait in `tail` for catchUp().
   std::uint64_t lastAccepted = 0;
-  /// engine.lastApplied() mirrored under the store mutex — the engine
-  /// itself is only touched by the executor holding this flow's in-flight
-  /// slot, so readers must not reach into it.
-  std::uint64_t applied = 0;
   std::uint64_t ackSeq = 0;
   std::uint64_t sinceSnapshot = 0;
   /// Per-seq results, seq > ackSeq (duplicate replies + replay source).
@@ -346,6 +434,17 @@ struct SessionService::Session {
   /// primary ({} = never) — the liveness evidence the --standby-grace
   /// promotion gate checks before a client contact may depose it.
   std::chrono::steady_clock::time_point lastReplContact{};
+
+  /// What status() and fillStats() report, copied from the fields above
+  /// at the end of every task.  Guarded by the store mutex.
+  struct Mirror {
+    std::uint64_t lastAccepted = 0;
+    std::uint64_t applied = 0;
+    std::uint64_t epoch = 1;
+    bool standby = false;
+    std::chrono::steady_clock::time_point lastWalAppend{};
+    std::chrono::steady_clock::time_point lastSnapshot{};
+  } mirror;
 };
 
 std::string SessionService::key(const std::string& tenant,
@@ -398,9 +497,6 @@ SessionService::~SessionService() {
   }
   for (std::thread& t : executors_) t.join();
   executors_.clear();
-  std::lock_guard lock(mutex_);
-  stopped_ = true;
-  applied_.notify_all();
 }
 
 void SessionService::executorLoop() {
@@ -408,7 +504,10 @@ void SessionService::executorLoop() {
   for (;;) {
     std::optional<FairScheduler::Next> next = scheduler_.next();
     if (!next.has_value()) {
-      if (stopping_ && scheduler_.idle()) return;
+      if (stopping_ && scheduler_.idle()) {
+        stopped_ = true;  // post() refuses from here on
+        return;
+      }
       work_.wait(lock);
       continue;
     }
@@ -422,8 +521,118 @@ void SessionService::executorLoop() {
   }
 }
 
-void SessionService::applyOne(const SessionPtr& session,
-                              const MutationRecord& rec) {
+bool SessionService::post(const SessionPtr& session, double cost,
+                          std::function<void(Session&)> task) {
+  std::lock_guard lock(mutex_);
+  if (stopped_) return false;
+  // The task inherits the poster's trace context, so a mutate's apply span
+  // parents under the remote caller's request span.
+  scheduler_.enqueue(
+      session->key, session->config.priority, session->config.weight,
+      {[session, task = std::move(task), context = trace::currentContext()] {
+         trace::ContextScope scope(context);
+         runningSession = session.get();
+         task(*session);
+         runningSession = nullptr;
+       },
+       cost});
+  work_.notify_one();
+  return true;
+}
+
+template <class Fn>
+auto SessionService::onStrand(const SessionPtr& session, double cost, Fn fn)
+    -> std::optional<std::invoke_result_t<Fn&, Session&>> {
+  using Result = std::optional<std::invoke_result_t<Fn&, Session&>>;
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> result = promise->get_future();
+  if (!post(session, cost, [this, fn, promise](Session& s) mutable {
+        try {
+          Result value;
+          if (!s.closed) value.emplace(fn(s));
+          publish(s);  // before the caller can observe the result
+          promise->set_value(std::move(value));
+        } catch (...) {
+          promise->set_exception(std::current_exception());
+        }
+      }))
+    return std::nullopt;
+  return result.get();
+}
+
+template <class Fn>
+auto SessionService::onSession(const std::string& tenant,
+                               const std::string& name, double cost, Fn fn)
+    -> std::optional<std::invoke_result_t<Fn&, Session&>> {
+  SessionPtr session;
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = sessions_.find(key(tenant, name));
+    if (it == sessions_.end()) return std::nullopt;
+    session = it->second;
+  }
+  // A quorum ship runs inside the session's own task and fires the
+  // replicator callbacks on that same thread: the strand is already ours.
+  if (session.get() == runningSession) return fn(*session);
+  return onStrand(session, cost, std::move(fn));
+}
+
+void SessionService::publish(Session& session) {
+  std::lock_guard lock(mutex_);
+  session.mirror = {session.lastAccepted, session.engine.lastApplied(),
+                    session.epoch,        session.standby,
+                    session.lastWalAppend, session.lastSnapshot};
+}
+
+template <class Response>
+SessionService::SessionPtr SessionService::createLocked(
+    const std::string& k, SessionEngine engine, std::uint64_t epoch,
+    bool standby, std::string_view snapshot, Response& refusal) {
+  if (draining_) {
+    refusal.status = SessionStatus::kDraining;
+    refusal.error = "daemon is draining";
+    return nullptr;
+  }
+  if (sessions_.size() >= options_.maxSessions) {
+    refusal.status = SessionStatus::kResourceExhausted;
+    refusal.error = "session limit (" + std::to_string(options_.maxSessions) +
+                    ") reached";
+    if constexpr (requires { refusal.retryAfterMs; })
+      refusal.retryAfterMs = 1000;
+    return nullptr;
+  }
+  // Journaled before it is listed, under the store mutex: a racing
+  // creation of the same name cannot write over these files, and tasks of
+  // a closed predecessor never touch files.
+  auto session = std::make_shared<Session>(k, std::move(engine));
+  session->lastAccepted = session->engine.lastApplied();
+  session->epoch = epoch;
+  session->standby = standby;
+  if (!options_.stateDir.empty()) {
+    session->walPath = options_.stateDir + "/" + k + ".wal";
+    session->snapPath = options_.stateDir + "/" + k + ".snap";
+  }
+  try {
+    startFiles(*session, snapshot);
+  } catch (const Error& error) {
+    if (snapshot.empty()) {
+      refusal.status = SessionStatus::kFailed;
+      refusal.error = error.what();
+      return nullptr;
+    }
+    // An installed snapshot is kept in memory: appendWal rewrites the
+    // journal before the next record is acknowledged.
+    log(LogLevel::kWarn) << "cannot persist installed snapshot for " << k
+                         << ": " << error.what();
+    session->walFd.reset();
+  }
+  session->mirror = {session->lastAccepted, session->lastAccepted, epoch,
+                     standby, {}, session->lastSnapshot};
+  sessions_.emplace(k, session);
+  return session;
+}
+
+void SessionService::applyOne(Session& session, const MutationRecord rec) {
   static metrics::Histogram& planLatency =
       metrics::histogram(metrics::kSessionPlanLatency);
   static metrics::Counter& plans = metrics::counter(metrics::kSessionPlans);
@@ -435,34 +644,35 @@ void SessionService::applyOne(const SessionPtr& session,
     trace::ScopedSpan span("session.apply", "session",
                            {trace::Arg::num("seq", rec.seq),
                             trace::Arg::boolean("defer", rec.defer)});
-    // The engine is only ever touched by the executor holding this flow's
-    // in-flight slot, so planning runs without the store mutex.
-    outcome = session->engine.apply(rec);
+    outcome = session.engine.apply(rec);
   }
-  std::lock_guard lock(mutex_);
   if (outcome.planned) {
     plans.add();
     if (outcome.deltasRaw > outcome.deltasPlanned)
       compacted.add(
           static_cast<std::uint64_t>(outcome.deltasRaw - outcome.deltasPlanned));
   }
-  session->applied = session->engine.lastApplied();
-  session->outcomes[rec.seq] = std::move(outcome);
-  ++session->sinceSnapshot;
+  session.outcomes[rec.seq] = std::move(outcome);
+  ++session.sinceSnapshot;
   if (options_.snapshotEvery > 0 &&
-      session->sinceSnapshot >= options_.snapshotEvery) {
+      session.sinceSnapshot >= options_.snapshotEvery) {
     try {
-      persistLocked(*session);
+      persist(session);
     } catch (const Error& error) {
       // Snapshot failure is degradable: the journal keeps growing and
       // recovery still works, just from further back.
       log(LogLevel::kWarn) << "session snapshot failed: " << error.what();
     }
   }
-  applied_.notify_all();
 }
 
-void SessionService::rewriteWalLocked(Session& session) {
+void SessionService::catchUp(Session& session) {
+  // By value: a snapshot inside applyOne trims the tail it came from.
+  while (session.engine.lastApplied() < session.lastAccepted)
+    applyOne(session, session.tail.at(session.engine.lastApplied() + 1));
+}
+
+void SessionService::rewriteWal(Session& session) {
   // Rebuilds the journal from trusted in-memory state (header + open record
   // + every accepted record newer than the last snapshot) via atomic
   // replace, and reopens a clean append descriptor.  Used after rotation
@@ -482,18 +692,30 @@ void SessionService::rewriteWalLocked(Session& session) {
   session.wal = std::move(fresh);
 }
 
-void SessionService::appendWalLocked(Session& session,
-                                     const MutationRecord& rec) {
-  // WAL rule: the record is on disk before any work is scheduled and
-  // before any reply — a crash after this point must replay it.
+void SessionService::startFiles(Session& session, std::string_view snapshot) {
+  if (session.walPath.empty()) return;
+  // No snapshot: clear any stale one under this name (crash mid-close, or
+  // a suffix this replica just discarded) so a later recovery cannot mix
+  // it with the fresh journal.
+  if (snapshot.empty()) {
+    fsio::removeFileDurable(session.snapPath);
+  } else {
+    fsio::writeFileDurable(session.snapPath, snapshot);
+    session.lastSnapshot = std::chrono::steady_clock::now();
+  }
+  rewriteWal(session);
+}
+
+void SessionService::appendWal(Session& session, const MutationRecord& rec) {
+  // WAL rule: the record is on disk before it is applied and before any
+  // reply — a crash after this point must replay it.
   //
   // A session with a journal path but no usable descriptor (a previous
   // rotation or append failed mid-way) must NOT silently skip the disk
   // write — that would acknowledge the mutation with no durability.
   // Rewrite the journal from trusted state first; if that fails too, the
   // error propagates and the mutation is refused un-acked.
-  if (!session.walPath.empty() && !session.walFd.valid())
-    rewriteWalLocked(session);
+  if (!session.walPath.empty() && !session.walFd.valid()) rewriteWal(session);
   if (session.walFd.valid()) {
     const std::string line = session.wal.appendLine(mutPayload(rec));
     try {
@@ -509,7 +731,7 @@ void SessionService::appendWalLocked(Session& session,
   session.lastWalAppend = std::chrono::steady_clock::now();
 }
 
-void SessionService::persistLocked(Session& session) {
+void SessionService::persist(Session& session) {
   if (session.snapPath.empty()) return;
   static metrics::Counter& snapshots =
       metrics::counter(metrics::kSessionSnapshots);
@@ -534,9 +756,9 @@ void SessionService::persistLocked(Session& session) {
   session.tail.erase(session.tail.begin(),
                      session.tail.upper_bound(covered));
   // If the rotation fails mid-way the descriptor stays invalid and the
-  // next appendWalLocked rewrites the journal before acking anything — a
-  // failed rotation must never silently disable durability.
-  rewriteWalLocked(session);
+  // next appendWal rewrites the journal before acking anything — a failed
+  // rotation must never silently disable durability.
+  rewriteWal(session);
   session.sinceSnapshot = 0;
 }
 
@@ -604,8 +826,11 @@ bool SessionService::recoverOne(const std::string& base) {
     quarantine(snapPath);
     snap.reset();
   }
-  auto session = std::make_shared<Session>(
-      snap ? std::move(snap->engine) : SessionEngine(walConfig));
+  SessionEngine engine =
+      snap ? std::move(snap->engine) : SessionEngine(walConfig);
+  const std::string sessionKey =
+      key(engine.config().tenant, engine.config().name);
+  auto session = std::make_shared<Session>(sessionKey, std::move(engine));
   const std::uint64_t snapEpoch =
       snap ? std::max<std::uint64_t>(1, snap->epoch) : 1;
   if (snap) {
@@ -632,7 +857,7 @@ bool SessionService::recoverOne(const std::string& base) {
     session->outcomes[rec.seq] = session->engine.apply(rec);
     session->tail.emplace(rec.seq, rec);
   }
-  session->applied = session->lastAccepted = session->engine.lastApplied();
+  session->lastAccepted = session->engine.lastApplied();
   session->outcomes.erase(session->outcomes.begin(),
                           session->outcomes.upper_bound(session->ackSeq));
 
@@ -640,31 +865,22 @@ bool SessionService::recoverOne(const std::string& base) {
   // records) and reopen it for appending.  A rewrite failure must NOT drop
   // the recovered session: the old journal is still intact on disk
   // (durable replace is atomic), so the session is kept with an invalid
-  // descriptor and appendWalLocked rewrites the journal before acking the
-  // next mutation.  Dropping it here would let a later open() create a
-  // fresh session over the old journal — destroying acknowledged history
-  // on nothing more than a transient write failure.
+  // descriptor and appendWal rewrites the journal before acking the next
+  // mutation.  Dropping it here would let a later open() create a fresh
+  // session over the old journal — destroying acknowledged history on
+  // nothing more than a transient write failure.
   session->walPath = walPath;
   session->snapPath = snapPath;
-  RecordLog fresh(kWalHeader);
-  std::string walBytes = fresh.headerLine();
-  walBytes += fresh.appendLine(openPayload(session->engine.config(),
-                                           session->epoch, session->standby));
-  for (const auto& [seq, rec] : session->tail)
-    walBytes += fresh.appendLine(mutPayload(rec));
   try {
-    fsio::writeFileDurable(walPath, walBytes);
-    session->walFd = fsio::openAppend(walPath);
-    session->wal = std::move(fresh);
+    rewriteWal(*session);
   } catch (const Error& error) {
     log(LogLevel::kWarn) << "cannot rewrite session journal '" << walPath
                          << "' (recovered state kept, rewrite deferred): "
                          << error.what();
     session->walFd.reset();
   }
-  sessions_.emplace(key(session->engine.config().tenant,
-                        session->engine.config().name),
-                    std::move(session));
+  publish(*session);
+  sessions_.emplace(sessionKey, std::move(session));
   return true;
 }
 
@@ -672,113 +888,65 @@ SessionOpenResponse SessionService::open(const SessionOpenRequest& request) {
   static metrics::Counter& opened = metrics::counter(metrics::kSessionOpened);
   static metrics::Counter& resumed =
       metrics::counter(metrics::kSessionResumed);
-  SessionOpenResponse response;
-  if (!validSessionName(request.tenant) || !validSessionName(request.name)) {
-    response.status = SessionStatus::kFailed;
-    response.error = "tenant/session names must be 1-64 chars of "
-                     "[A-Za-z0-9._-]";
-    return response;
-  }
-  SessionConfig config;
-  config.tenant = request.tenant;
-  config.name = request.name;
-  config.priority = static_cast<int>(request.priority);
-  config.weight = static_cast<double>(std::max<std::uint32_t>(1, request.weight));
-  config.planner = request.planner;
-  config.stateCount = request.stateCount;
-  config.inputCount = request.inputCount;
-  config.outputCount = request.outputCount;
-  config.seed = request.seed;
-
-  std::unique_lock lock(mutex_);
+  if (!validSessionName(request.tenant) || !validSessionName(request.name))
+    return failed<SessionOpenResponse>(kBadNames);
+  const SessionConfig config = configOf(request);
   const std::string k = key(request.tenant, request.name);
-  const auto it = sessions_.find(k);
-  if (it != sessions_.end()) {
-    if (!request.resume) {
-      response.status = SessionStatus::kFailed;
-      response.error = "session already exists (use resume)";
-    } else if (it->second->engine.config() != config) {
-      response.status = SessionStatus::kFailed;
-      response.error = "session config mismatch on resume";
+  SessionOpenResponse response;
+  SessionPtr session;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = sessions_.find(k); it != sessions_.end()) {
+      session = it->second;
     } else {
-      SessionPtr session = it->second;
+      try {
+        plannerFn(config.planner);  // validate the name before committing
+      } catch (const Error& error) {
+        return failed<SessionOpenResponse>(error.what());
+      }
+      if (createLocked(k, SessionEngine(config), 1, false, {}, response)) {
+        opened.add();
+        response.status = SessionStatus::kOk;
+        response.lastApplied = 0;
+      }
+      return response;
+    }
+  }
+  if (!request.resume)
+    return failed<SessionOpenResponse>("session already exists (use resume)");
+  if (session->config != config)
+    return failed<SessionOpenResponse>("session config mismatch on resume");
+  const auto answer = onStrand(session, 1.0, [&](Session& s) {
+    SessionOpenResponse reply;
+    if (s.standby) {
       // A client resuming against a standby IS the failover signal: the
       // primary is gone and the stream re-resolved here.  Promote before
       // reporting the high-water mark the client will resume from —
       // unless the standby heard from its primary inside the grace window
       // (a healthy primary must not be deposed by a client-side blip).
-      if (session->standby) {
-        if (!promotionDueLocked(*session)) {
-          response.status = SessionStatus::kFailed;
-          response.error =
-              "session is a standby still replicating from a live primary "
-              "(within --standby-grace); resume against the primary";
-          return response;
-        }
-        promoteLocked(lock, *session, k);
-        // The promotion wait released mutex_: the entry may have been
-        // closed (or closed and reopened) meanwhile.
-        if (!stillOpenLocked(k, session)) {
-          response.status = SessionStatus::kNotFound;
-          response.error = "session closed during promotion";
-          return response;
-        }
-      }
-      resumed.add();
-      response.status = SessionStatus::kOk;
-      response.lastApplied = session->lastAccepted;
+      if (!promotionDue(s))
+        return failed<SessionOpenResponse>(
+            "session is a standby still replicating from a live primary "
+            "(within --standby-grace); resume against the primary");
+      promote(s);
     }
-    return response;
-  }
-  if (draining_) {
-    response.status = SessionStatus::kDraining;
-    response.error = "daemon is draining";
-    return response;
-  }
-  if (sessions_.size() >= options_.maxSessions) {
-    response.status = SessionStatus::kResourceExhausted;
-    response.error = "session limit (" +
-                     std::to_string(options_.maxSessions) + ") reached";
-    response.retryAfterMs = 1000;
-    return response;
-  }
-  try {
-    plannerFn(config.planner);  // validate the name before committing
-    auto session = std::make_shared<Session>(SessionEngine(config));
-    if (!options_.stateDir.empty()) {
-      session->walPath = options_.stateDir + "/" + k + ".wal";
-      session->snapPath = options_.stateDir + "/" + k + ".snap";
-      // A stale snapshot under this name (crash mid-close) must not be
-      // mixed with the fresh journal on a later recovery.
-      fsio::removeFileDurable(session->snapPath);
-      const std::string walBytes =
-          session->wal.headerLine() +
-          session->wal.appendLine(openPayload(config));
-      fsio::writeFileDurable(session->walPath, walBytes);
-      session->walFd = fsio::openAppend(session->walPath);
-    }
-    sessions_.emplace(k, std::move(session));
-    opened.add();
-    response.status = SessionStatus::kOk;
-    response.lastApplied = 0;
-  } catch (const Error& error) {
-    response.status = SessionStatus::kFailed;
-    response.error = error.what();
-  }
-  return response;
+    resumed.add();
+    reply.status = SessionStatus::kOk;
+    reply.lastApplied = s.lastAccepted;
+    return reply;
+  });
+  return answer.value_or(
+      unknownSession<SessionOpenResponse>(request.tenant, request.name));
 }
 
 SessionMutateResponse SessionService::answerFromHistory(
-    Session& session, std::uint64_t seq) const {
+    const Session& session, std::uint64_t seq) const {
   SessionMutateResponse response;
   response.seq = seq;
   const auto it = session.outcomes.find(seq);
   if (it == session.outcomes.end()) {
     response.status = SessionStatus::kFailed;
-    response.error =
-        seq <= session.ackSeq
-            ? "transcript entry already acknowledged and trimmed"
-            : "mutation not applied (service stopped)";
+    response.error = "transcript entry already acknowledged and trimmed";
     return response;
   }
   const PlanOutcome& outcome = it->second;
@@ -800,10 +968,6 @@ SessionMutateResponse SessionService::answerFromHistory(
 
 SessionMutateResponse SessionService::mutate(
     const SessionMutateRequest& request) {
-  static metrics::Counter& accepted =
-      metrics::counter(metrics::kSessionMutationsAccepted);
-  static metrics::Counter& rejected =
-      metrics::counter(metrics::kSessionMutationsRejected);
   static metrics::Histogram& mutateLatency =
       metrics::histogram(metrics::kSessionMutateLatency);
   static metrics::RollingHistogram& mutateWindow =
@@ -819,422 +983,285 @@ SessionMutateResponse SessionService::mutate(
       {trace::Arg::str("tenant", request.tenant),
        trace::Arg::num("seq", request.seq)});
 
+  auto unknown =
+      unknownSession<SessionMutateResponse>(request.tenant, request.name);
+  unknown.seq = request.seq;
+  return onSession(request.tenant, request.name,
+                   1.0 + static_cast<double>(request.deltaCount),
+                   [&](Session& s) { return mutateOn(s, request); })
+      .value_or(unknown);
+}
+
+SessionMutateResponse SessionService::mutateOn(
+    Session& session, const SessionMutateRequest& request) {
+  static metrics::Counter& accepted =
+      metrics::counter(metrics::kSessionMutationsAccepted);
+  static metrics::Counter& rejected =
+      metrics::counter(metrics::kSessionMutationsRejected);
   SessionMutateResponse response;
   response.seq = request.seq;
-  std::unique_lock lock(mutex_);
-  const std::string k = key(request.tenant, request.name);
-  const auto it = sessions_.find(k);
-  if (it == sessions_.end()) {
-    response.status = SessionStatus::kNotFound;
-    response.error = "unknown session " + request.tenant + "/" + request.name;
+  const auto refuse = [&](SessionStatus status, std::string error) {
+    response.status = status;
+    response.error = std::move(error);
     return response;
-  }
-  SessionPtr session = it->second;
+  };
   // A client write reaching a standby is client-transparent failover in
   // action: the stream re-resolved here because the primary died — unless
   // the standby heard from its primary inside the grace window.
-  if (session->standby) {
-    if (!promotionDueLocked(*session)) {
-      response.status = SessionStatus::kFailed;
-      response.error =
-          "session is a standby still replicating from a live primary "
-          "(within --standby-grace); mutate against the primary";
-      return response;
+  if (session.standby) {
+    if (!promotionDue(session))
+      return refuse(SessionStatus::kFailed,
+                    "session is a standby still replicating from a live "
+                    "primary (within --standby-grace); mutate against the "
+                    "primary");
+    promote(session);
+  }
+  const std::string fencedError =
+      "session fenced: a standby holds a newer epoch (deposed primary)";
+  if (session.fenced) return refuse(SessionStatus::kStaleEpoch, fencedError);
+  if (request.ackSeq > session.ackSeq) {
+    session.ackSeq = std::min(request.ackSeq, session.engine.lastApplied());
+    session.outcomes.erase(session.outcomes.begin(),
+                           session.outcomes.upper_bound(session.ackSeq));
+  }
+  if (request.seq == 0 || request.seq > session.lastAccepted + 1)
+    return refuse(SessionStatus::kBadSequence,
+                  "expected seq " + std::to_string(session.lastAccepted + 1) +
+                      ", got " + std::to_string(request.seq));
+  if (request.seq <= session.lastAccepted) {
+    // A resent duplicate (retry after a lost reply): answer from the
+    // transcript — never re-journal, never re-plan.
+    catchUp(session);
+    return answerFromHistory(session, request.seq);
+  }
+  {
+    std::lock_guard lock(mutex_);
+    if (draining_)
+      return refuse(SessionStatus::kDraining, "daemon is draining");
+    auto bucket = buckets_.find(request.tenant);
+    if (bucket == buckets_.end())
+      bucket = buckets_
+                   .emplace(request.tenant,
+                            TokenBucket(options_.tenantRate,
+                                        options_.tenantBurst))
+                   .first;
+    const auto now = TokenBucket::Clock::now();
+    if (!bucket->second.tryTake(1.0, now)) {
+      rejected.add();
+      response.retryAfterMs =
+          std::max<std::int64_t>(1, bucket->second.msUntil(1.0, now));
+      return refuse(SessionStatus::kResourceExhausted,
+                    "tenant '" + request.tenant +
+                        "' is over its mutation rate");
     }
-    promoteLocked(lock, *session, k);
-    // The promotion wait released mutex_: `it` may now dangle and the key
-    // may map to nothing (close) or to a different session (close+reopen).
-    if (!stillOpenLocked(k, session)) {
-      response.status = SessionStatus::kNotFound;
-      response.error = "session closed during promotion";
-      return response;
-    }
   }
-  if (session->fenced) {
-    response.status = SessionStatus::kStaleEpoch;
-    response.error =
-        "session fenced: a standby holds a newer epoch (deposed primary)";
-    return response;
-  }
-  if (request.ackSeq > session->ackSeq) {
-    session->ackSeq = std::min(request.ackSeq, session->applied);
-    session->outcomes.erase(
-        session->outcomes.begin(),
-        session->outcomes.upper_bound(session->ackSeq));
-  }
-  if (request.seq == 0 || request.seq > session->lastAccepted + 1) {
-    response.status = SessionStatus::kBadSequence;
-    response.error = "expected seq " +
-                     std::to_string(session->lastAccepted + 1) + ", got " +
-                     std::to_string(request.seq);
-    return response;
-  }
-  if (request.seq <= session->lastAccepted) {
-    // A resent duplicate (retry after a lost reply): wait for its apply
-    // and answer from the transcript — never re-journal, never re-plan.
-    applied_.wait(lock, [&] {
-      return session->applied >= request.seq || stopped_;
-    });
-    return answerFromHistory(*session, request.seq);
-  }
-  if (draining_) {
-    response.status = SessionStatus::kDraining;
-    response.error = "daemon is draining";
-    return response;
-  }
-  auto bucket = buckets_.find(request.tenant);
-  if (bucket == buckets_.end())
-    bucket = buckets_
-                 .emplace(request.tenant,
-                          TokenBucket(options_.tenantRate,
-                                      options_.tenantBurst))
-                 .first;
-  const auto now = TokenBucket::Clock::now();
-  if (!bucket->second.tryTake(1.0, now)) {
-    rejected.add();
-    response.status = SessionStatus::kResourceExhausted;
-    response.error =
-        "tenant '" + request.tenant + "' is over its mutation rate";
-    response.retryAfterMs =
-        std::max<std::int64_t>(1, bucket->second.msUntil(1.0, now));
-    return response;
-  }
-  MutationRecord rec;
-  rec.seq = request.seq;
-  rec.deltaCount = request.deltaCount;
-  rec.newStateCount = request.newStateCount;
-  rec.mutationSeed = request.mutationSeed;
-  rec.defer = request.defer;
+  const MutationRecord rec = recordOf(request);
   if (replicator_ && replicator_->ackMode() == ReplAck::kQuorum) {
     // Quorum rule: every standby journals the record durably BEFORE the
     // local append and long before the client ack.  A refusal here leaves
     // nothing local — the client retries and no acked mutation can exist
-    // that the standbys lack.  Ship without the store mutex (the ship
-    // blocks on standby fsyncs) and re-validate after relocking.
-    const SessionReplAppendRequest ship =
-        replRequestFor(session->engine.config(), session->epoch, rec);
-    lock.unlock();
-    const ShipResult shipped = replicator_->shipSync(ship);
-    lock.lock();
-    // Identity check, not just presence: a close+reopen race through the
-    // unlocked window leaves the key mapping to a *different* session —
-    // this record must not be journaled into the namesake's transcript.
-    if (!stillOpenLocked(k, session)) {
-      response.status = SessionStatus::kNotFound;
-      response.error = "session closed during replication";
-      return response;
-    }
-    if (shipped.staleEpoch || session->fenced) {
-      session->fenced = true;
+    // that the standbys lack.  The ship runs inside this task, so the
+    // session cannot change under it.
+    const ShipResult shipped = replicator_->shipSync(
+        replRequestFor(session.engine.config(), session.epoch, rec));
+    if (shipped.staleEpoch || session.fenced) {
+      session.fenced = true;
       rejected.add();
-      response.status = SessionStatus::kStaleEpoch;
-      response.error =
-          "session fenced: a standby holds a newer epoch (deposed primary)";
-      return response;
+      return refuse(SessionStatus::kStaleEpoch, fencedError);
     }
     if (!shipped.ok) {
       rejected.add();
-      response.status = SessionStatus::kFailed;
-      response.error = "replication failed: " + shipped.error;
-      return response;
-    }
-    if (request.seq <= session->lastAccepted) {
-      // A retry raced us through the unlocked window; its journaled copy
-      // wins and this one answers from the transcript like any duplicate.
-      applied_.wait(lock, [&] {
-        return session->applied >= request.seq || stopped_;
-      });
-      return answerFromHistory(*session, request.seq);
-    }
-    if (request.seq != session->lastAccepted + 1) {
-      response.status = SessionStatus::kBadSequence;
-      response.error = "expected seq " +
-                       std::to_string(session->lastAccepted + 1) + ", got " +
-                       std::to_string(request.seq);
-      return response;
+      return refuse(SessionStatus::kFailed,
+                    "replication failed: " + shipped.error);
     }
   }
   try {
-    appendWalLocked(*session, rec);
+    appendWal(session, rec);
   } catch (const Error& error) {
-    response.status = SessionStatus::kFailed;
-    response.error = std::string("journal append failed: ") + error.what();
-    return response;
+    return refuse(SessionStatus::kFailed,
+                  std::string("journal append failed: ") + error.what());
   }
-  session->lastAccepted = rec.seq;
-  session->tail.emplace(rec.seq, rec);
+  session.lastAccepted = rec.seq;
+  session.tail.emplace(rec.seq, rec);
   accepted.add();
   if (replicator_ && replicator_->ackMode() == ReplAck::kAsync) {
     // Async rule: local durability first, ack immediately, ship from the
     // bounded per-replica queue.  A refused enqueue (queue full) becomes a
     // standby-side sequence gap the next successful ship resyncs.
     replicator_->shipAsync(
-        replRequestFor(session->engine.config(), session->epoch, rec));
+        replRequestFor(session.engine.config(), session.epoch, rec));
   }
-  const SessionConfig& config = session->engine.config();
-  // Hand the mutate span's context to the executor thread so the apply
-  // span parents under it (and, transitively, under the remote caller).
-  scheduler_.enqueue(k, config.priority, config.weight,
-                     {[this, session, rec,
-                       context = trace::currentContext()] {
-                        trace::ContextScope scope(context);
-                        applyOne(session, rec);
-                      },
-                      1.0 + static_cast<double>(rec.deltaCount)});
-  work_.notify_all();
-  applied_.wait(lock,
-                [&] { return session->applied >= rec.seq || stopped_; });
-  return answerFromHistory(*session, rec.seq);
+  catchUp(session);
+  return answerFromHistory(session, rec.seq);
 }
 
 SessionReplayResponse SessionService::replay(
     const SessionReplayRequest& request) {
-  SessionReplayResponse response;
-  std::unique_lock lock(mutex_);
-  const auto it = sessions_.find(key(request.tenant, request.name));
-  if (it == sessions_.end()) {
-    response.status = SessionStatus::kNotFound;
-    response.error = "unknown session " + request.tenant + "/" + request.name;
+  const auto answer = onSession(request.tenant, request.name, 1.0,
+                                [&](Session& s) {
+    SessionReplayResponse response;
+    catchUp(s);
+    const std::uint64_t hi = request.toSeq == 0
+                                 ? s.lastAccepted
+                                 : std::min(request.toSeq, s.lastAccepted);
+    if (request.fromSeq <= s.ackSeq && s.ackSeq > 0) {
+      response.status = SessionStatus::kFailed;
+      response.error = "entries up to seq " + std::to_string(s.ackSeq) +
+                       " were acknowledged and trimmed";
+      return response;
+    }
+    for (auto entry = s.outcomes.lower_bound(request.fromSeq);
+         entry != s.outcomes.end() && entry->first <= hi; ++entry) {
+      if (!entry->second.planned) continue;
+      SessionReplayResponse::Entry e;
+      e.seq = entry->first;
+      e.program = entry->second.program;
+      response.entries.push_back(std::move(e));
+    }
+    response.status = SessionStatus::kOk;
     return response;
-  }
-  SessionPtr session = it->second;
-  const std::uint64_t hi =
-      request.toSeq == 0
-          ? session->lastAccepted
-          : std::min(request.toSeq, session->lastAccepted);
-  applied_.wait(lock,
-                [&] { return session->applied >= hi || stopped_; });
-  if (request.fromSeq <= session->ackSeq && session->ackSeq > 0) {
-    response.status = SessionStatus::kFailed;
-    response.error = "entries up to seq " +
-                     std::to_string(session->ackSeq) +
-                     " were acknowledged and trimmed";
-    return response;
-  }
-  for (auto entry = session->outcomes.lower_bound(request.fromSeq);
-       entry != session->outcomes.end() && entry->first <= hi; ++entry) {
-    if (!entry->second.planned) continue;
-    SessionReplayResponse::Entry e;
-    e.seq = entry->first;
-    e.program = entry->second.program;
-    response.entries.push_back(std::move(e));
-  }
-  response.status = SessionStatus::kOk;
-  return response;
+  });
+  return answer.value_or(
+      unknownSession<SessionReplayResponse>(request.tenant, request.name));
 }
 
 SessionCloseResponse SessionService::close(const SessionCloseRequest& request) {
-  SessionCloseResponse response;
-  std::unique_lock lock(mutex_);
-  const auto it = sessions_.find(key(request.tenant, request.name));
-  if (it == sessions_.end()) {
-    response.status = SessionStatus::kNotFound;
-    response.error = "unknown session " + request.tenant + "/" + request.name;
-    return response;
-  }
-  SessionPtr session = it->second;
-  applied_.wait(lock, [&] {
-    return session->applied >= session->lastAccepted || stopped_;
-  });
-  response.mutationsApplied = session->applied;
-  response.plans = session->engine.planCount();
-  session->walFd.reset();
-  if (!session->walPath.empty()) {
-    try {
-      fsio::removeFileDurable(session->walPath);
-      fsio::removeFileDurable(session->snapPath);
-    } catch (const Error& error) {
-      log(LogLevel::kWarn) << "cannot remove session files: "
-                           << error.what();
+  const auto answer = onSession(request.tenant, request.name, 1.0,
+                                [&](Session& s) {
+    SessionCloseResponse response;
+    catchUp(s);
+    response.mutationsApplied = s.engine.lastApplied();
+    response.plans = s.engine.planCount();
+    s.walFd.reset();
+    if (!s.walPath.empty()) {
+      try {
+        fsio::removeFileDurable(s.walPath);
+        fsio::removeFileDurable(s.snapPath);
+      } catch (const Error& error) {
+        log(LogLevel::kWarn) << "cannot remove session files: "
+                             << error.what();
+      }
     }
-  }
-  sessions_.erase(key(request.tenant, request.name));
-  response.status = SessionStatus::kOk;
-  return response;
+    // Only this task closes `s`, once, so the key still maps to it; a
+    // reopen lists a fresh session whose tasks queue behind this one's.
+    s.closed = true;
+    std::lock_guard lock(mutex_);
+    sessions_.erase(s.key);
+    response.status = SessionStatus::kOk;
+    return response;
+  });
+  return answer.value_or(
+      unknownSession<SessionCloseResponse>(request.tenant, request.name));
 }
 
 // --- Replication plane ----------------------------------------------------
 
 SessionReplAppendResponse SessionService::replAppend(
     const SessionReplAppendRequest& request) {
-  static metrics::Counter& staleRejected =
-      metrics::counter(metrics::kServiceStaleEpochRejected);
-  SessionReplAppendResponse response;
-  SessionConfig config;
-  config.tenant = request.tenant;
-  config.name = request.name;
-  config.priority = static_cast<int>(request.priority);
-  config.weight =
-      static_cast<double>(std::max<std::uint32_t>(1, request.weight));
-  config.planner = request.planner;
-  config.stateCount = request.stateCount;
-  config.inputCount = request.inputCount;
-  config.outputCount = request.outputCount;
-  config.seed = request.seed;
-  if (!validSessionName(config.tenant) || !validSessionName(config.name)) {
-    response.status = SessionStatus::kFailed;
-    response.error = "tenant/session names must be 1-64 chars of "
-                     "[A-Za-z0-9._-]";
-    return response;
-  }
-  std::unique_lock lock(mutex_);
+  const SessionConfig config = configOf(request);
+  if (!validSessionName(config.tenant) || !validSessionName(config.name))
+    return failed<SessionReplAppendResponse>(kBadNames);
   const std::string k = key(request.tenant, request.name);
-  auto it = sessions_.find(k);
-  if (it == sessions_.end()) {
-    // First contact from a primary: materialize the standby session from
-    // the config the frame carries (no separate open exchange).
-    if (draining_) {
-      response.status = SessionStatus::kDraining;
-      response.error = "daemon is draining";
-      return response;
-    }
-    if (sessions_.size() >= options_.maxSessions) {
-      response.status = SessionStatus::kResourceExhausted;
-      response.error = "session limit (" +
-                       std::to_string(options_.maxSessions) + ") reached";
-      return response;
-    }
-    try {
-      plannerFn(config.planner);
-      auto session = std::make_shared<Session>(SessionEngine(config));
-      session->standby = true;
-      session->epoch = std::max<std::uint64_t>(1, request.epoch);
-      if (!options_.stateDir.empty()) {
-        session->walPath = options_.stateDir + "/" + k + ".wal";
-        session->snapPath = options_.stateDir + "/" + k + ".snap";
-        fsio::removeFileDurable(session->snapPath);
-        const std::string walBytes =
-            session->wal.headerLine() +
-            session->wal.appendLine(
-                openPayload(config, session->epoch, true));
-        fsio::writeFileDurable(session->walPath, walBytes);
-        session->walFd = fsio::openAppend(session->walPath);
+  SessionReplAppendResponse response;
+  SessionPtr session;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = sessions_.find(k); it != sessions_.end()) {
+      session = it->second;
+    } else {
+      // First contact from a primary: materialize the standby session from
+      // the config the frame carries (no separate open exchange).
+      try {
+        plannerFn(config.planner);
+      } catch (const Error& error) {
+        return failed<SessionReplAppendResponse>(error.what());
       }
-      it = sessions_.emplace(k, std::move(session)).first;
-    } catch (const Error& error) {
-      response.status = SessionStatus::kFailed;
-      response.error = error.what();
-      return response;
+      session = createLocked(k, SessionEngine(config),
+                             std::max<std::uint64_t>(1, request.epoch), true,
+                             {}, response);
+      if (!session) return response;
     }
   }
-  SessionPtr session = it->second;
-  response.epoch = session->epoch;
-  response.lastAccepted = session->lastAccepted;
-  // The fence: a frame from an older epoch — or from a twin primary at our
-  // own epoch — is a deposed primary still streaming.  Refuse and count.
-  if (request.epoch < session->epoch ||
-      (request.epoch == session->epoch && !session->standby)) {
-    staleRejected.add();
-    response.status = SessionStatus::kStaleEpoch;
-    response.error = "stale epoch " + std::to_string(request.epoch) +
-                     " (current " + std::to_string(session->epoch) + ")";
-    log(LogLevel::kWarn) << "session " << k
-                         << " refused stale-epoch append (epoch "
-                         << request.epoch << ", current " << session->epoch
-                         << ")";
-    return response;
-  }
-  if (session->engine.config() != config) {
-    response.status = SessionStatus::kFailed;
-    response.error = "replication config mismatch";
-    return response;
-  }
-  if (request.epoch > session->epoch) {
-    // A newer primary exists.  Adopt its epoch; a session that thought it
-    // was primary is demoted back to standby (the old-primary-rejoins-as-
-    // standby leg of the failover matrix).  The accepted suffix is NOT
-    // kept: records past the new primary's promotion point share sequence
-    // numbers with genuinely different records (a deposed primary's
-    // async-acked-but-unshipped run, or a quorum ship that reached us for
-    // a mutation the lost primary never acked), and nothing on the wire
-    // proves record identity by seq alone — absorbing the new primary's
-    // ships as "duplicates" would let phantom records survive into a
-    // later promotion.  Discard the replay state and report a gap so the
-    // new primary resyncs us from its snapshot + tail.
-    if (!session->standby)
-      log(LogLevel::kWarn) << "session " << k << " demoted to standby (epoch "
-                           << session->epoch << " -> " << request.epoch
-                           << ")";
-    // Quiesce before discarding: executors touch the engine without the
-    // store mutex.  The wait releases mutex_, so re-validate the entry.
-    applied_.wait(lock, [&] {
-      return session->applied >= session->lastAccepted || stopped_;
-    });
-    if (!stillOpenLocked(k, session)) {
-      response.status = SessionStatus::kNotFound;
-      response.error = "session closed during epoch adoption";
-      return response;
+  const auto answer = onStrand(session, 1.0, [&](Session& s) {
+    SessionReplAppendResponse reply;
+    if (refuseStaleEpoch(s, request.epoch, "append", reply)) return reply;
+    if (s.config != config)
+      return failed<SessionReplAppendResponse>("replication config mismatch");
+    if (request.epoch > s.epoch) {
+      // A newer primary exists.  Adopt its epoch; a session that thought
+      // it was primary is demoted back to standby (the old-primary-rejoins-
+      // as-standby leg of the failover matrix).  The accepted suffix is NOT
+      // kept: records past the new primary's promotion point share sequence
+      // numbers with genuinely different records (a deposed primary's
+      // async-acked-but-unshipped run, or a quorum ship that reached us for
+      // a mutation the lost primary never acked), and nothing on the wire
+      // proves record identity by seq alone — absorbing the new primary's
+      // ships as "duplicates" would let phantom records survive into a
+      // later promotion.  Discard the replay state and report a gap so the
+      // new primary resyncs us from its snapshot + tail.
+      if (!s.standby)
+        log(LogLevel::kWarn) << "session " << s.key
+                             << " demoted to standby (epoch " << s.epoch
+                             << " -> " << request.epoch << ")";
+      s.engine = SessionEngine(s.config);
+      s.outcomes.clear();
+      s.tail.clear();
+      s.lastAccepted = 0;
+      s.ackSeq = 0;
+      s.sinceSnapshot = 0;
+      s.epoch = request.epoch;
+      s.standby = true;
+      s.fenced = false;
+      try {
+        // The on-disk snapshot still holds the discarded suffix; a crash
+        // before the resync install must not resurrect it on recovery.
+        startFiles(s, {});
+      } catch (const Error& error) {
+        log(LogLevel::kWarn) << "cannot persist epoch adoption for "
+                             << s.key << ": " << error.what();
+      }
     }
-    const SessionConfig keep = session->engine.config();
-    session->engine = SessionEngine(keep);
-    session->outcomes.clear();
-    session->tail.clear();
-    session->lastAccepted = 0;
-    session->applied = 0;
-    session->ackSeq = 0;
-    session->sinceSnapshot = 0;
-    session->epoch = request.epoch;
-    session->standby = true;
-    session->fenced = false;
-    response.epoch = session->epoch;
-    response.lastAccepted = 0;
+    reply.epoch = s.epoch;
+    reply.lastAccepted = s.lastAccepted;
+    s.lastReplContact = std::chrono::steady_clock::now();
+    if (request.seq <= s.lastAccepted) {
+      reply.status = SessionStatus::kOk;  // duplicate ship: idempotent
+      return reply;
+    }
+    if (request.seq != s.lastAccepted + 1) {
+      reply.status = SessionStatus::kBadSequence;  // gap: primary resyncs
+      reply.error = "expected seq " + std::to_string(s.lastAccepted + 1) +
+                    ", got " + std::to_string(request.seq);
+      return reply;
+    }
+    const MutationRecord rec = recordOf(request);
     try {
-      // The on-disk snapshot still holds the discarded suffix; a crash
-      // before the resync install must not resurrect it on recovery.
-      if (!session->snapPath.empty())
-        fsio::removeFileDurable(session->snapPath);
-      if (!session->walPath.empty()) rewriteWalLocked(*session);
+      appendWal(s, rec);
     } catch (const Error& error) {
-      log(LogLevel::kWarn) << "cannot persist epoch adoption for " << k
-                           << ": " << error.what();
+      return failed<SessionReplAppendResponse>(
+          std::string("journal append failed: ") + error.what());
     }
-  }
-  session->lastReplContact = std::chrono::steady_clock::now();
-  if (request.seq <= session->lastAccepted) {
-    response.status = SessionStatus::kOk;  // duplicate ship: idempotent
-    return response;
-  }
-  if (request.seq != session->lastAccepted + 1) {
-    response.status = SessionStatus::kBadSequence;  // gap: primary resyncs
-    response.error = "expected seq " +
-                     std::to_string(session->lastAccepted + 1) + ", got " +
-                     std::to_string(request.seq);
-    return response;
-  }
-  MutationRecord rec;
-  rec.seq = request.seq;
-  rec.deltaCount = request.deltaCount;
-  rec.newStateCount = request.newStateCount;
-  rec.mutationSeed = request.mutationSeed;
-  rec.defer = request.defer;
-  try {
-    appendWalLocked(*session, rec);
-  } catch (const Error& error) {
-    response.status = SessionStatus::kFailed;
-    response.error = std::string("journal append failed: ") + error.what();
-    return response;
-  }
-  session->lastAccepted = rec.seq;
-  session->tail.emplace(rec.seq, rec);
-  // Warm replay: schedule the apply like a client mutation but do NOT wait
-  // for it — the primary's quorum needs the fsync, not the plan.  The
-  // continuously-applied engine is what makes promotion O(tail).  (`k`,
-  // not `it->first`: the epoch-adoption quiesce may have invalidated it.)
-  const SessionConfig& cfg = session->engine.config();
-  scheduler_.enqueue(k, cfg.priority, cfg.weight,
-                     {[this, session, rec] { applyOne(session, rec); },
-                      1.0 + static_cast<double>(rec.deltaCount)});
-  work_.notify_all();
-  response.lastAccepted = session->lastAccepted;
-  response.status = SessionStatus::kOk;
-  return response;
+    s.lastAccepted = rec.seq;
+    s.tail.emplace(rec.seq, rec);
+    // Warm replay: apply in a task of its own, after this reply — the
+    // primary's quorum needs the fsync, not the plan.  The continuously
+    // applied engine is what makes promotion O(tail).
+    post(session, 1.0 + static_cast<double>(rec.deltaCount),
+         [this](Session& t) {
+           if (t.closed) return;
+           catchUp(t);
+           publish(t);
+         });
+    reply.lastAccepted = s.lastAccepted;
+    reply.status = SessionStatus::kOk;
+    return reply;
+  });
+  return answer.value_or(
+      unknownSession<SessionReplAppendResponse>(request.tenant, request.name));
 }
 
 SessionReplSnapshotResponse SessionService::replInstall(
     const SessionReplSnapshotRequest& request) {
-  static metrics::Counter& staleRejected =
-      metrics::counter(metrics::kServiceStaleEpochRejected);
-  SessionReplSnapshotResponse response;
   // Verify and decode before touching the store: the bytes are the
   // primary's .snap file verbatim, checksum trailer included.  Its epoch
   // and role are not adopted: the frame's epoch governs, and we stay
@@ -1243,165 +1270,107 @@ SessionReplSnapshotResponse SessionService::replInstall(
   try {
     snap.emplace(readSnapshotFile(request.snapshot));
   } catch (const Error& error) {
-    response.status = SessionStatus::kFailed;
-    response.error = std::string("bad snapshot: ") + error.what();
-    return response;
+    return failed<SessionReplSnapshotResponse>(std::string("bad snapshot: ") +
+                                               error.what());
   }
-  std::unique_lock lock(mutex_);
   const std::string k = key(request.tenant, request.name);
-  auto it = sessions_.find(k);
-  if (it != sessions_.end()) {
-    SessionPtr session = it->second;
-    if (request.epoch < session->epoch ||
-        (request.epoch == session->epoch && !session->standby)) {
-      staleRejected.add();
-      response.status = SessionStatus::kStaleEpoch;
-      response.error = "stale epoch " + std::to_string(request.epoch) +
-                       " (current " + std::to_string(session->epoch) + ")";
-      response.epoch = session->epoch;
-      response.lastAccepted = session->lastAccepted;
-      return response;
-    }
-    if (snap->engine.lastApplied() <= session->lastAccepted &&
-        request.epoch == session->epoch) {
-      // We already hold everything this snapshot covers: no-op.
+  SessionReplSnapshotResponse response;
+  SessionPtr session;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = sessions_.find(k); it != sessions_.end()) {
+      session = it->second;
+    } else {
+      session = createLocked(k, std::move(snap->engine),
+                             std::max<std::uint64_t>(1, request.epoch), true,
+                             request.snapshot, response);
+      if (!session) return response;
+      // Listed, but no task of it can run before the lock is released.
+      session->outcomes = std::move(snap->outcomes);
+      session->ackSeq = snap->ackSeq;
+      session->lastReplContact = std::chrono::steady_clock::now();
       response.status = SessionStatus::kOk;
       response.epoch = session->epoch;
       response.lastAccepted = session->lastAccepted;
       return response;
     }
-    // Quiesce: no executor may hold the engine while we swap it out.  The
-    // wait releases mutex_, so re-validate the entry before writing into
-    // it (a concurrent close() may have erased — or close+reopen
-    // replaced — the session meanwhile).
-    applied_.wait(lock, [&] {
-      return session->applied >= session->lastAccepted || stopped_;
-    });
-    if (!stillOpenLocked(k, session)) {
-      response.status = SessionStatus::kNotFound;
-      response.error = "session closed during snapshot install";
-      return response;
+  }
+  const auto answer = onStrand(session, 1.0, [&](Session& s) {
+    SessionReplSnapshotResponse reply;
+    if (refuseStaleEpoch(s, request.epoch, "install", reply)) return reply;
+    if (snap->engine.lastApplied() <= s.lastAccepted &&
+        request.epoch == s.epoch) {
+      // We already hold everything this snapshot covers: no-op.
+      reply.status = SessionStatus::kOk;
+      return reply;
     }
-    session->engine = std::move(snap->engine);
-    session->outcomes = std::move(snap->outcomes);
-    session->ackSeq = snap->ackSeq;
-    session->applied = session->lastAccepted = session->engine.lastApplied();
-    session->tail.clear();
-    session->sinceSnapshot = 0;
-    session->epoch = std::max(session->epoch, request.epoch);
-    session->standby = true;
-    session->fenced = false;
-    session->lastReplContact = std::chrono::steady_clock::now();
+    if (snap->engine.config() != s.config)
+      return failed<SessionReplSnapshotResponse>("replication config mismatch");
+    s.engine = std::move(snap->engine);
+    s.outcomes = std::move(snap->outcomes);
+    s.ackSeq = snap->ackSeq;
+    s.lastAccepted = s.engine.lastApplied();
+    s.tail.clear();
+    s.sinceSnapshot = 0;
+    s.epoch = std::max(s.epoch, request.epoch);
+    s.standby = true;
+    s.fenced = false;
+    s.lastReplContact = std::chrono::steady_clock::now();
     try {
-      if (!session->snapPath.empty()) {
-        fsio::writeFileDurable(session->snapPath, request.snapshot);
-        session->lastSnapshot = std::chrono::steady_clock::now();
-      }
-      if (!session->walPath.empty()) rewriteWalLocked(*session);
+      startFiles(s, request.snapshot);
     } catch (const Error& error) {
       log(LogLevel::kWarn) << "cannot persist installed snapshot for " << k
                            << ": " << error.what();
-      session->walFd.reset();
+      s.walFd.reset();
     }
-    applied_.notify_all();
-    response.status = SessionStatus::kOk;
-    response.epoch = session->epoch;
-    response.lastAccepted = session->lastAccepted;
-    return response;
-  }
-  if (draining_) {
-    response.status = SessionStatus::kDraining;
-    response.error = "daemon is draining";
-    return response;
-  }
-  if (sessions_.size() >= options_.maxSessions) {
-    response.status = SessionStatus::kResourceExhausted;
-    response.error = "session limit (" +
-                     std::to_string(options_.maxSessions) + ") reached";
-    return response;
-  }
-  auto session = std::make_shared<Session>(std::move(snap->engine));
-  session->outcomes = std::move(snap->outcomes);
-  session->ackSeq = snap->ackSeq;
-  session->applied = session->lastAccepted = session->engine.lastApplied();
-  session->standby = true;
-  session->epoch = std::max<std::uint64_t>(1, request.epoch);
-  session->lastReplContact = std::chrono::steady_clock::now();
-  if (!options_.stateDir.empty()) {
-    session->walPath = options_.stateDir + "/" + k + ".wal";
-    session->snapPath = options_.stateDir + "/" + k + ".snap";
-    try {
-      fsio::writeFileDurable(session->snapPath, request.snapshot);
-      session->lastSnapshot = std::chrono::steady_clock::now();
-      rewriteWalLocked(*session);
-    } catch (const Error& error) {
-      log(LogLevel::kWarn) << "cannot persist installed snapshot for " << k
-                           << ": " << error.what();
-      session->walFd.reset();
-    }
-  }
-  response.epoch = session->epoch;
-  response.lastAccepted = session->lastAccepted;
-  sessions_.emplace(k, std::move(session));
-  response.status = SessionStatus::kOk;
-  return response;
+    reply.status = SessionStatus::kOk;
+    reply.epoch = s.epoch;
+    reply.lastAccepted = s.lastAccepted;
+    return reply;
+  });
+  return answer.value_or(unknownSession<SessionReplSnapshotResponse>(
+      request.tenant, request.name));
 }
 
 SessionStatusResponse SessionService::status(
     const SessionStatusRequest& request) {
-  SessionStatusResponse response;
   std::lock_guard lock(mutex_);
   const auto it = sessions_.find(key(request.tenant, request.name));
-  if (it == sessions_.end()) {
-    response.status = SessionStatus::kNotFound;
-    response.error = "unknown session " + request.tenant + "/" + request.name;
-    return response;
-  }
-  const Session& session = *it->second;
+  if (it == sessions_.end())
+    return unknownSession<SessionStatusResponse>(request.tenant, request.name);
+  const Session::Mirror& mirror = it->second->mirror;
+  SessionStatusResponse response;
   response.status = SessionStatus::kOk;
-  response.role = session.standby ? "standby" : "primary";
-  response.epoch = session.epoch;
-  response.lastAccepted = session.lastAccepted;
-  response.applied = session.applied;
+  response.role = mirror.standby ? "standby" : "primary";
+  response.epoch = mirror.epoch;
+  response.lastAccepted = mirror.lastAccepted;
+  response.applied = mirror.applied;
   return response;
 }
 
-void SessionService::promoteLocked(std::unique_lock<std::mutex>& lock,
-                                   Session& session,
-                                   std::string sessionKey) {
+void SessionService::promote(Session& session) {
   // O(tail) by construction: the standby has been warm-replaying every
-  // shipped record continuously, so only the records still queued behind
-  // the executors remain to apply.  (Callers hold a SessionPtr, so the
-  // session outlives the unlocked wait; sessionKey is a by-value copy
-  // because a map-node reference would dangle if a concurrent close()
-  // erased the entry while the lock was dropped.)
-  applied_.wait(lock, [&] {
-    return session.applied >= session.lastAccepted || stopped_;
-  });
+  // shipped record continuously, so only the records whose apply tasks
+  // are still queued behind this one remain to apply.
+  catchUp(session);
   session.standby = false;
   session.fenced = false;
   session.epoch += 1;
   metrics::counter(metrics::kServiceFailovers).add();
-  log(LogLevel::kWarn) << "session " << sessionKey
+  log(LogLevel::kWarn) << "session " << session.key
                        << " promoted to primary (epoch " << session.epoch
                        << ")";
   // Persist the new epoch immediately: a crash right after promotion must
   // not recover into the deposed epoch and un-fence the old primary.
   try {
-    if (!session.walPath.empty()) rewriteWalLocked(session);
+    if (!session.walPath.empty()) rewriteWal(session);
   } catch (const Error& error) {
-    log(LogLevel::kWarn) << "cannot persist promotion of " << sessionKey
+    log(LogLevel::kWarn) << "cannot persist promotion of " << session.key
                          << ": " << error.what();
   }
 }
 
-bool SessionService::stillOpenLocked(const std::string& sessionKey,
-                                     const SessionPtr& session) const {
-  const auto it = sessions_.find(sessionKey);
-  return it != sessions_.end() && it->second == session;
-}
-
-bool SessionService::promotionDueLocked(const Session& session) const {
+bool SessionService::promotionDue(const Session& session) const {
   if (options_.standbyGrace.count() <= 0) return true;   // gate disabled
   if (session.lastReplContact == std::chrono::steady_clock::time_point{})
     return true;  // never replicated to: nothing to protect
@@ -1411,33 +1380,31 @@ bool SessionService::promotionDueLocked(const Session& session) const {
 
 std::optional<Replicator::ResyncBundle> SessionService::resyncBundle(
     const std::string& tenant, const std::string& name) {
-  std::lock_guard lock(mutex_);
-  const auto it = sessions_.find(key(tenant, name));
-  if (it == sessions_.end()) return std::nullopt;
-  Session& session = *it->second;
-  Replicator::ResyncBundle bundle;
-  bundle.snapshot.tenant = tenant;
-  bundle.snapshot.name = name;
-  bundle.snapshot.epoch = session.epoch;
-  if (!session.snapPath.empty())
-    if (const auto bytes = fsio::readFileIfExists(session.snapPath))
-      bundle.snapshot.snapshot = *bytes;
-  for (const auto& [seq, rec] : session.tail)
-    bundle.tail.push_back(
-        replRequestFor(session.engine.config(), session.epoch, rec));
-  return bundle;
+  return onSession(tenant, name, 1.0, [&](Session& s) {
+           Replicator::ResyncBundle bundle;
+           bundle.snapshot.tenant = tenant;
+           bundle.snapshot.name = name;
+           bundle.snapshot.epoch = s.epoch;
+           if (!s.snapPath.empty())
+             if (const auto bytes = fsio::readFileIfExists(s.snapPath))
+               bundle.snapshot.snapshot = *bytes;
+           for (const auto& [seq, rec] : s.tail)
+             bundle.tail.push_back(
+                 replRequestFor(s.engine.config(), s.epoch, rec));
+           return bundle;
+         });
 }
 
 void SessionService::fenceSession(const std::string& tenant,
                                   const std::string& name,
                                   std::uint64_t standbyEpoch) {
-  std::lock_guard lock(mutex_);
-  const auto it = sessions_.find(key(tenant, name));
-  if (it == sessions_.end()) return;
-  it->second->fenced = true;
-  log(LogLevel::kWarn) << "session " << key(tenant, name)
-                       << " fenced: a standby holds epoch " << standbyEpoch
-                       << " (local epoch " << it->second->epoch << ")";
+  onSession(tenant, name, 1.0, [&](Session& s) {
+    s.fenced = true;
+    log(LogLevel::kWarn) << "session " << s.key
+                         << " fenced: a standby holds epoch " << standbyEpoch
+                         << " (local epoch " << s.epoch << ")";
+    return true;
+  });
 }
 
 void SessionService::beginDrain() {
@@ -1448,31 +1415,38 @@ void SessionService::beginDrain() {
 std::size_t SessionService::drain() {
   static metrics::Counter& drained =
       metrics::counter(metrics::kSessionsDrained);
+  std::vector<SessionPtr> sessions;
   {
     std::lock_guard lock(mutex_);
     draining_ = true;
+    for (const auto& [k, session] : sessions_) sessions.push_back(session);
+  }
+  // Persist each session on its own flow, behind the work it has queued;
+  // the executors exit only once every flow is idle.
+  std::atomic<std::size_t> persisted{0};
+  for (const SessionPtr& session : sessions) {
+    post(session, 1.0, [this, &persisted](Session& s) {
+      if (s.closed) return;
+      try {
+        catchUp(s);
+        persist(s);
+        s.walFd.reset();
+        ++persisted;
+        drained.add();
+      } catch (const Error& error) {
+        log(LogLevel::kWarn) << "cannot persist session " << s.key
+                             << " on drain: " << error.what();
+      }
+      publish(s);
+    });
+  }
+  {
+    std::lock_guard lock(mutex_);
     stopping_ = true;
     work_.notify_all();
   }
-  // Finish or checkpoint in-flight work: every journaled mutation is
-  // queued, and the executors exit only once the scheduler is idle.
   for (std::thread& t : executors_) t.join();
   executors_.clear();
-  std::lock_guard lock(mutex_);
-  stopped_ = true;
-  applied_.notify_all();
-  std::size_t persisted = 0;
-  for (auto& [k, session] : sessions_) {
-    try {
-      persistLocked(*session);
-      session->walFd.reset();
-      ++persisted;
-      drained.add();
-    } catch (const Error& error) {
-      log(LogLevel::kWarn) << "cannot persist session " << k
-                           << " on drain: " << error.what();
-    }
-  }
   return persisted;
 }
 
@@ -1499,7 +1473,8 @@ void SessionService::fillStats(StatsResponse& stats) const {
             .count());
   };
   for (const auto& [flowKey, session] : sessions_) {
-    const SessionConfig& config = session->engine.config();
+    const SessionConfig& config = session->config;
+    const Session::Mirror& mirror = session->mirror;
     StatsResponse::SessionStats row;
     row.tenant = config.tenant;
     row.name = config.name;
@@ -1513,12 +1488,12 @@ void SessionService::fillStats(StatsResponse& stats) const {
     row.tokensRemaining = bucket != buckets_.end()
                               ? bucket->second.tokensAt(bucketNow)
                               : options_.tenantBurst;
-    row.queued = session->lastAccepted - session->applied;
-    row.applied = session->applied;
-    row.walAgeMs = ageMs(session->lastWalAppend);
-    row.snapshotAgeMs = ageMs(session->lastSnapshot);
-    row.role = session->standby ? "standby" : "primary";
-    row.epoch = session->epoch;
+    row.queued = mirror.lastAccepted - mirror.applied;
+    row.applied = mirror.applied;
+    row.walAgeMs = ageMs(mirror.lastWalAppend);
+    row.snapshotAgeMs = ageMs(mirror.lastSnapshot);
+    row.role = mirror.standby ? "standby" : "primary";
+    row.epoch = mirror.epoch;
     stats.sessions.push_back(std::move(row));
   }
   stats.openSessions = sessions_.size();

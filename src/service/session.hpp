@@ -34,12 +34,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fsm/machine.hpp"
@@ -212,36 +215,50 @@ class SessionService {
   void fillStats(StatsResponse& stats) const;
 
  private:
+  /// Lets tests occupy a session's flow to hold its work in flight.
+  friend struct SessionServiceTestAccess;
   struct Session;
   using SessionPtr = std::shared_ptr<Session>;
 
   static std::string key(const std::string& tenant, const std::string& name);
   void executorLoop();
-  void applyOne(const SessionPtr& session, const MutationRecord& rec);
-  void persistLocked(Session& session);
-  void rewriteWalLocked(Session& session);
-  void appendWalLocked(Session& session, const MutationRecord& rec);
+  /// Queues `task` on the session's flow (false once the executors have
+  /// stopped).  Only such tasks touch a session's state.
+  bool post(const SessionPtr& session, double cost,
+            std::function<void(Session&)> task);
+  /// Runs `fn` as a task on the session's flow and returns its result;
+  /// nullopt when the session was closed first or the service stopped.
+  template <class Fn>
+  auto onStrand(const SessionPtr& session, double cost, Fn fn)
+      -> std::optional<std::invoke_result_t<Fn&, Session&>>;
+  /// onStrand on the session listed under tenant/name; inline when called
+  /// from that session's own task (a quorum ship's resync/fence callback).
+  template <class Fn>
+  auto onSession(const std::string& tenant, const std::string& name,
+                 double cost, Fn fn)
+      -> std::optional<std::invoke_result_t<Fn&, Session&>>;
+  void publish(Session& session);
+  /// Admits (draining, maxSessions), journals (with `snapshot`, if any)
+  /// and lists a new session, or fills `refusal` and returns null.
+  template <class Response>
+  SessionPtr createLocked(const std::string& key, SessionEngine engine,
+                          std::uint64_t epoch, bool standby,
+                          std::string_view snapshot, Response& refusal);
+  void applyOne(Session& session, MutationRecord rec);
+  void catchUp(Session& session);
+  void persist(Session& session);
+  void rewriteWal(Session& session);
+  void startFiles(Session& session, std::string_view snapshot);
+  void appendWal(Session& session, const MutationRecord& rec);
   bool recoverOne(const std::string& base);
-  SessionMutateResponse answerFromHistory(Session& session,
+  SessionMutateResponse mutateOn(Session& session,
+                                 const SessionMutateRequest& request);
+  SessionMutateResponse answerFromHistory(const Session& session,
                                           std::uint64_t seq) const;
-  /// Turns a standby session into the primary: waits out the un-applied
-  /// tail (O(tail) by the standby's continuous warm replay), bumps the
-  /// epoch (fencing the deposed primary), rewrites the journal header.
-  /// Caller holds `lock`; the wait releases it, so `sessionKey` is taken
-  /// by value (a map-node reference would dangle if a concurrent close()
-  /// erased the entry) and the caller must re-validate its iterator with
-  /// stillOpenLocked() afterwards.
-  void promoteLocked(std::unique_lock<std::mutex>& lock, Session& session,
-                     std::string sessionKey);
-  /// Whether `sessionKey` still maps to exactly `session`.  Must be
-  /// re-checked after ANY window where mutex_ was released (condition
-  /// waits, quorum ships): a concurrent close() invalidates iterators, and
-  /// a close+reopen race leaves the key mapping to a different object.
-  bool stillOpenLocked(const std::string& sessionKey,
-                       const SessionPtr& session) const;
+  void promote(Session& session);
   /// Whether a client-triggered promotion of this standby is admissible
   /// under options_.standbyGrace (see SessionServiceOptions).
-  bool promotionDueLocked(const Session& session) const;
+  bool promotionDue(const Session& session) const;
   /// Builds the resync bundle the Replicator ships to a gapped standby.
   std::optional<Replicator::ResyncBundle> resyncBundle(
       const std::string& tenant, const std::string& name);
@@ -250,15 +267,16 @@ class SessionService {
                     std::uint64_t standbyEpoch);
 
   SessionServiceOptions options_;
+  /// Guards routing (map, buckets, scheduler, flags) and a new session's
+  /// creation, never a listed session's state.
   mutable std::mutex mutex_;
-  std::condition_variable work_;     ///< executors: queue state changed
-  std::condition_variable applied_;  ///< waiters: a mutation finished
+  std::condition_variable work_;  ///< executors: queue state changed
   FairScheduler scheduler_;
   std::map<std::string, SessionPtr> sessions_;
   std::map<std::string, TokenBucket> buckets_;
   bool draining_ = false;
   bool stopping_ = false;
-  bool stopped_ = false;
+  bool stopped_ = false;  ///< the executors exited; nothing more runs
   std::uint64_t recovered_ = 0;
   std::uint64_t quarantined_ = 0;
   std::vector<std::thread> executors_;

@@ -13,8 +13,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,12 +28,63 @@
 #include "service/session.hpp"
 #include "util/chaos.hpp"
 #include "util/check.hpp"
+#include "util/deadline.hpp"
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rfsm {
+
+namespace service {
+
+/// A latch a test opens by hand; arrive() and wait() note that the gated
+/// side got there.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool entered = false;
+  bool open = false;
+
+  void arrive() {
+    std::lock_guard lock(mutex);
+    entered = true;
+    changed.notify_all();
+  }
+  void wait() {
+    arrive();
+    std::unique_lock lock(mutex);
+    changed.wait(lock, [&] { return open; });
+  }
+  void awaitEntered() {
+    std::unique_lock lock(mutex);
+    changed.wait(lock, [&] { return entered; });
+  }
+  void release() {
+    std::lock_guard lock(mutex);
+    open = true;
+    changed.notify_all();
+  }
+};
+
+/// Holds a session's work without relying on timing: queues an item that
+/// blocks on a gate on the session's scheduler flow, so everything queued
+/// for that session after it waits until the gate opens.
+struct SessionServiceTestAccess {
+  static std::shared_ptr<Gate> hold(SessionService& service,
+                                    const std::string& flow) {
+    auto gate = std::make_shared<Gate>();
+    {
+      std::lock_guard lock(service.mutex_);
+      service.scheduler_.enqueue(flow, 1, 1.0, {[gate] { gate->wait(); }, 1.0});
+      service.work_.notify_all();
+    }
+    return gate;
+  }
+};
+
+}  // namespace service
+
 namespace {
 
 using namespace std::chrono_literals;
@@ -790,6 +845,227 @@ TEST(ReplicatorTransport, ShutdownInterruptsTheRetryLadder) {
       << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
       << "ms against a 5000ms retry budget";
 }
+
+// --- Session lifecycle races ----------------------------------------------
+
+using service::Gate;
+using service::SessionServiceTestAccess;
+
+/// Waits (bounded) until `depth` items are queued in the store's scheduler.
+/// Only progress evidence: the tests below assert outcomes that hold in
+/// every interleaving.
+void awaitQueued(SessionService& store, std::size_t depth,
+                 std::chrono::milliseconds bound = 250ms) {
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  for (;;) {
+    service::StatsResponse stats;
+    store.fillStats(stats);
+    if (stats.schedulerDepth >= depth ||
+        std::chrono::steady_clock::now() >= deadline)
+      return;
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
+/// Re-opens `config` (no resume) from several threads until one succeeds.
+struct Reopener {
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+
+  Reopener(SessionService& store, const SessionConfig& config) {
+    for (int k = 0; k < 4; ++k)
+      threads.emplace_back([this, &store, config] {
+        service::SessionOpenRequest request = openRequestFor(config);
+        request.resume = false;
+        const auto deadline = std::chrono::steady_clock::now() + 10s;
+        while (!done && std::chrono::steady_clock::now() < deadline)
+          if (store.open(request).status == SessionStatus::kOk) done = true;
+      });
+  }
+  bool join() {
+    for (std::thread& t : threads) t.join();
+    return done;
+  }
+};
+
+bool walExists(const std::string& dir, const SessionConfig& config) {
+  return fsio::readFileIfExists(dir + "/" + config.tenant + "@" +
+                                config.name + ".wal")
+      .has_value();
+}
+
+TEST(SessionService, DuplicateCloseRacingAReopenKeepsTheReopenedSession) {
+  // A duplicate close (SessionStream resends after a reply timeout) that
+  // races a reopen must neither delete the reopened session's journal nor
+  // drop it from the map.  A standby with a backlog of shipped records has
+  // its flow held while both closes arrive; the reopen spins until the
+  // first close lands.
+  const SessionConfig config = smallConfig();
+  for (int round = 0; round < 8; ++round) {
+    TempDir dir;
+    SessionServiceOptions options;
+    options.stateDir = dir.path;
+    options.executors = 1;
+    SessionService store(options);
+    for (std::uint64_t k = 1; k <= 30; ++k)
+      ASSERT_EQ(
+          store.replAppend(replRequestFor(config, 1, mut(k, false, 40)))
+              .status,
+          SessionStatus::kOk);
+    const std::shared_ptr<Gate> gate =
+        SessionServiceTestAccess::hold(store, "t@s");
+    service::SessionCloseResponse closes[2];
+    std::thread closerA([&] { closes[0] = store.close({"t", "s"}); });
+    std::thread closerB([&] { closes[1] = store.close({"t", "s"}); });
+    awaitQueued(store, 2);
+    Reopener reopen(store, config);
+    gate->release();
+    closerA.join();
+    closerB.join();
+    ASSERT_TRUE(reopen.join()) << "round " << round;
+    EXPECT_TRUE(closes[0].status == SessionStatus::kOk ||
+                closes[1].status == SessionStatus::kOk);
+    const auto status = store.status({"t", "s"});
+    EXPECT_EQ(status.status, SessionStatus::kOk)
+        << "round " << round << ": the reopened session was dropped";
+    EXPECT_EQ(status.lastAccepted, 0u);
+    EXPECT_TRUE(walExists(dir.path, config))
+        << "round " << round << ": the reopened session's journal is gone";
+  }
+}
+
+/// A standby endpoint that journals nothing: it acks every append, but
+/// holds its first reply until released.
+struct HeldStandby {
+  std::string path;
+  ipc::Fd listener;
+  Gate firstFrame;    ///< entered when the first append arrives
+  Gate firstReply;    ///< opened by the test to let the reply go
+  std::atomic<bool> stop{false};
+  std::thread thread;
+
+  explicit HeldStandby(std::string socketPath)
+      : path(std::move(socketPath)), listener(ipc::listenUnix(path)) {
+    thread = std::thread([this] { serve(); });
+  }
+  ~HeldStandby() {
+    firstReply.release();
+    stop = true;
+    thread.join();
+    ::unlink(path.c_str());
+  }
+  void serve() {
+    bool first = true;
+    while (!stop) {
+      CancelToken slice(50ms);
+      std::optional<ipc::Fd> conn = ipc::acceptUnix(listener.get(), &slice);
+      if (!conn.has_value()) continue;
+      for (;;) {
+        CancelToken readSlice(5000ms);
+        std::string payload;
+        if (ipc::readFrame(conn->get(), payload, &readSlice) !=
+            ipc::ReadStatus::kOk)
+          break;
+        const auto request = service::decodeSessionReplAppendRequest(payload);
+        if (first) {
+          first = false;
+          firstFrame.arrive();
+          firstReply.wait();
+        }
+        service::SessionReplAppendResponse reply;
+        reply.status = SessionStatus::kOk;
+        reply.epoch = request.epoch;
+        reply.lastAccepted = request.seq;
+        ipc::writeFrame(conn->get(),
+                        service::encodeSessionReplAppendResponse(reply));
+      }
+    }
+  }
+};
+
+enum class CloseDuring { kPromotionWait, kQuorumShip };
+
+class SessionServiceCloseRace : public ::testing::TestWithParam<CloseDuring> {
+};
+
+TEST_P(SessionServiceCloseRace, CloseAndReopenLeaveOnlyTheFreshSession) {
+  // The two lifecycle races the replication plane used to guard with
+  // re-checks after releasing the store mutex: a close while a standby's
+  // promotion waits for its tail, and a close + reopen while a quorum ship
+  // is in flight.  Whatever the interleaving, the closed session's work
+  // must not leak into the reopened one.
+  const SessionConfig config = smallConfig();
+  TempDir dir;
+  SessionServiceOptions options;
+  options.stateDir = dir.path;
+  options.executors = 1;
+  std::unique_ptr<HeldStandby> standby;
+  if (GetParam() == CloseDuring::kQuorumShip) {
+    standby = std::make_unique<HeldStandby>(
+        "/tmp/rfsm-repl-" + std::to_string(getpid()) + "-held.sock");
+    options.replicas.push_back(ipc::parseEndpoint(standby->path));
+    options.replAck = ReplAck::kQuorum;
+  }
+  SessionService store(options);
+
+  std::vector<std::thread> threads;
+  service::SessionOpenResponse resumed;
+  service::SessionMutateResponse mutated;
+  service::SessionCloseResponse closed;
+  std::shared_ptr<Gate> gate;
+  if (GetParam() == CloseDuring::kPromotionWait) {
+    ASSERT_EQ(store.replAppend(replRequestFor(config, 1, mut(1))).status,
+              SessionStatus::kOk);
+    awaitCaughtUp(store, config);
+    gate = SessionServiceTestAccess::hold(store, "t@s");
+    threads.emplace_back(
+        [&] { store.replAppend(replRequestFor(config, 1, mut(2))); });
+    awaitQueued(store, 1);
+    // The client's resume promotes the standby, which first applies seq 2.
+    threads.emplace_back([&] { resumed = store.open(openRequestFor(config)); });
+    awaitQueued(store, 2);
+  } else {
+    ASSERT_EQ(store.open(openRequestFor(config)).status, SessionStatus::kOk);
+    threads.emplace_back(
+        [&] { mutated = store.mutate(mutateRequestFor(config, mut(1))); });
+    standby->firstFrame.awaitEntered();  // the ship is on the wire
+  }
+  threads.emplace_back([&] { closed = store.close({"t", "s"}); });
+  awaitQueued(store, GetParam() == CloseDuring::kPromotionWait ? 3 : 1);
+  Reopener reopen(store, config);
+  if (gate) gate->release();
+  if (standby) standby->firstReply.release();
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(reopen.join());
+
+  EXPECT_EQ(closed.status, SessionStatus::kOk) << closed.error;
+  if (GetParam() == CloseDuring::kPromotionWait)
+    EXPECT_TRUE(resumed.status == SessionStatus::kOk ||
+                resumed.status == SessionStatus::kNotFound)
+        << resumed.error;
+  else
+    EXPECT_TRUE(mutated.status == SessionStatus::kOk ||
+                mutated.status == SessionStatus::kNotFound)
+        << mutated.error;
+  // The reopened session is fresh: a primary at epoch 1 that received
+  // nothing of its predecessor, in memory or in its journal.
+  const auto status = awaitCaughtUp(store, config);
+  ASSERT_EQ(status.status, SessionStatus::kOk);
+  EXPECT_EQ(status.role, "primary");
+  EXPECT_EQ(status.epoch, 1u);
+  EXPECT_EQ(status.lastAccepted, 0u);
+  const auto wal = fsio::readFileIfExists(dir.path + "/t@s.wal");
+  ASSERT_TRUE(wal.has_value());
+  EXPECT_EQ(wal->find("mut "), std::string::npos) << *wal;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Races, SessionServiceCloseRace,
+    ::testing::Values(CloseDuring::kPromotionWait, CloseDuring::kQuorumShip),
+    [](const ::testing::TestParamInfo<CloseDuring>& info) {
+      return info.param == CloseDuring::kPromotionWait ? "PromotionWait"
+                                                        : "QuorumShip";
+    });
 
 // --- Failover against a real standby daemon -------------------------------
 
