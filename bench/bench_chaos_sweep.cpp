@@ -47,24 +47,12 @@
 #include "util/chaos.hpp"
 #include "util/ipc.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const std::string& tag) {
-  return "/tmp/rfsm-a18-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
 
 std::uint64_t counterValue(const char* name) {
   return metrics::counter(name).value();
@@ -96,32 +84,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
 
 struct NetCell {
   std::uint64_t seed = 0;
@@ -251,19 +213,6 @@ service::SessionConfig killConfig() {
   return config;
 }
 
-service::SessionOpenRequest openRequestFor(
-    const service::SessionConfig& config) {
-  service::SessionOpenRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  return request;
-}
-
 /// The shared mutation schedule: odd seqs defer (compacted into the next
 /// even flush), the final seq always flushes.
 service::MutationRecord scheduledMut(std::uint64_t k, std::uint64_t total) {
@@ -357,13 +306,12 @@ KillCell runKillCell(bool smoke) {
     }
   }
 
-  char dirTemplate[] = "/tmp/rfsm-a18-XXXXXX";
-  const char* stateDir = mkdtemp(dirTemplate);
-  if (stateDir == nullptr) {
+  const TempDir stateDir;
+  if (stateDir.path.empty()) {
     cell.detail = "mkdtemp failed";
     return cell;
   }
-  const std::string socketPath = std::string(stateDir) + "/rfsmd.sock";
+  const std::string socketPath = stateDir.path + "/rfsmd.sock";
 
   std::vector<std::pair<std::uint64_t, std::string>> transcript;
   std::uint64_t maxAcked = 0;
@@ -374,14 +322,8 @@ KillCell runKillCell(bool smoke) {
   const auto streamRange = [&](service::SessionStream& stream,
                                std::uint64_t from, std::uint64_t to) -> bool {
     for (std::uint64_t k = from; k <= to; ++k) {
-      const service::MutationRecord rec = scheduledMut(k, kMutations);
-      service::SessionMutateRequest request;
-      request.tenant = config.tenant;
-      request.name = config.name;
-      request.seq = rec.seq;
-      request.deltaCount = rec.deltaCount;
-      request.mutationSeed = rec.mutationSeed;
-      request.defer = rec.defer;
+      const service::SessionMutateRequest request =
+          service::mutateRequestFor(config, scheduledMut(k, kMutations));
       std::uint64_t attempts = 0;
       while (true) {
         if (++attempts > kMaxAttempts) {
@@ -436,7 +378,7 @@ KillCell runKillCell(bool smoke) {
   streamOptions.retryFor = 15s;
 
   Daemon daemon;
-  if (!daemon.start(socketPath, stateDir, chaosSpec)) {
+  if (!daemon.start(socketPath, stateDir.path, chaosSpec)) {
     cell.detail = "rfsmd did not start";
     return cell;
   }
@@ -455,7 +397,7 @@ KillCell runKillCell(bool smoke) {
   daemon.sigkill();
 
   Daemon restarted;
-  if (!restarted.start(socketPath, stateDir, chaosSpec)) {
+  if (!restarted.start(socketPath, stateDir.path, chaosSpec)) {
     cell.detail = "rfsmd did not restart";
     return cell;
   }

@@ -27,24 +27,12 @@
 #include "util/breaker.hpp"
 #include "util/ipc.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-a14-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
 
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;
@@ -58,105 +46,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
-
-/// An in-bench endpoint speaking the real plan protocol with scripted
-/// misbehaviour.  Honest replies are planRange's bytes — bit-identical to
-/// any correct party — so any observable difference is the fault model.
-class FakeEndpoint {
- public:
-  enum class Behavior {
-    kHonest,  ///< correct bytes
-    kTamper,  ///< appends junk to every program (a lying replica)
-    kSlow,    ///< answers correctly after `delay`
-    kFlaky,   ///< hangs up without answering every other connection
-  };
-
-  FakeEndpoint(std::string path, Behavior behavior,
-               std::chrono::milliseconds delay = 0ms)
-      : path_(std::move(path)),
-        behavior_(behavior),
-        delay_(delay),
-        listen_(ipc::listenUnix(path_)),
-        thread_([this] { serve(); }) {}
-
-  ~FakeEndpoint() {
-    stop_.cancel();
-    thread_.join();
-    unlink(path_.c_str());
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  void serve() {
-    while (!stop_.expired()) {
-      CancelToken slice(200ms);
-      auto connection = ipc::acceptUnix(listen_.get(), &slice);
-      if (!connection.has_value()) continue;
-      try {
-        handle(connection->get());
-      } catch (const Error&) {
-        // Client went away (a cancelled hedge loser): next connection.
-      }
-    }
-  }
-
-  void handle(int fd) {
-    std::string payload;
-    CancelToken read(2000ms);
-    if (ipc::readFrame(fd, payload, &read) != ipc::ReadStatus::kOk) return;
-    if (behavior_ == Behavior::kFlaky && (++connections_ % 2) != 0)
-      return;  // drop the connection without a reply
-    const auto request = service::decodePlanRequest(payload);
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    service::PlanResponse response;
-    response.status = WorkResult::Status::kOk;
-    // kBypass: the fake plays a *remote* process — it must not share (or
-    // serve back) this process's plan cache, or a poisoned entry could
-    // vouch for itself in cache scenarios.
-    response.programs =
-        service::planRange(request.spec, request.rangeLo(), request.rangeHi(),
-                           nullptr, 1, service::PlanCacheMode::kBypass);
-    if (behavior_ == Behavior::kTamper)
-      for (std::string& program : response.programs)
-        program += "# tampered\n";
-    ipc::writeFrame(fd, service::encodePlanResponse(response));
-  }
-
-  std::string path_;
-  Behavior behavior_;
-  std::chrono::milliseconds delay_;
-  ipc::Fd listen_;
-  CancelToken stop_;
-  std::uint64_t connections_ = 0;
-  std::thread thread_;
-};
 
 service::FabricOptions fastFabric(std::vector<ipc::Endpoint> endpoints) {
   service::FabricOptions options;

@@ -36,6 +36,7 @@
 #include "service/session.hpp"
 #include "util/ipc.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
@@ -47,15 +48,6 @@ using service::SessionConfig;
 using service::SessionEngine;
 using service::SessionStatus;
 
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
 SessionConfig sessionConfig() {
   SessionConfig config;
   config.tenant = "ha";
@@ -66,31 +58,6 @@ SessionConfig sessionConfig() {
   config.seed = 0xA19;
   config.planner = "jsr";
   return config;
-}
-
-service::SessionOpenRequest openRequestFor(const SessionConfig& config) {
-  service::SessionOpenRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight = static_cast<std::uint32_t>(config.weight);
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  return request;
-}
-
-service::SessionMutateRequest mutateRequestFor(const SessionConfig& config,
-                                               std::uint64_t seq) {
-  service::SessionMutateRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.seq = seq;
-  request.deltaCount = 3;
-  request.mutationSeed = 0xA19000 + seq;
-  return request;
 }
 
 MutationRecord recordFor(std::uint64_t seq) {
@@ -182,19 +149,17 @@ FailoverCell runFailoverCell(const std::string& ack, std::uint64_t killAfter,
     }
   }
 
-  char primaryTemplate[] = "/tmp/rfsm-a19p-XXXXXX";
-  char standbyTemplate[] = "/tmp/rfsm-a19s-XXXXXX";
-  const char* primaryDir = mkdtemp(primaryTemplate);
-  const char* standbyDir = mkdtemp(standbyTemplate);
-  if (primaryDir == nullptr || standbyDir == nullptr) {
+  const TempDir primaryDir;
+  const TempDir standbyDir;
+  if (primaryDir.path.empty() || standbyDir.path.empty()) {
     cell.detail = "mkdtemp failed";
     return cell;
   }
-  const std::string primarySock = std::string(primaryDir) + "/rfsmd.sock";
-  const std::string standbySock = std::string(standbyDir) + "/rfsmd.sock";
+  const std::string primarySock = primaryDir.path + "/rfsmd.sock";
+  const std::string standbySock = standbyDir.path + "/rfsmd.sock";
 
   Daemon standby;
-  if (!standby.start(standbySock, standbyDir)) {
+  if (!standby.start(standbySock, standbyDir.path)) {
     cell.detail = "standby did not start";
     return cell;
   }
@@ -205,7 +170,7 @@ FailoverCell runFailoverCell(const std::string& ack, std::uint64_t killAfter,
     primaryExtra.push_back("11:" + chaos);
   }
   Daemon primary;
-  if (!primary.start(primarySock, primaryDir, primaryExtra)) {
+  if (!primary.start(primarySock, primaryDir.path, primaryExtra)) {
     cell.detail = "primary did not start";
     return cell;
   }
@@ -236,7 +201,8 @@ FailoverCell runFailoverCell(const std::string& ack, std::uint64_t killAfter,
       return cell;
     }
     for (std::uint64_t k = 1; k <= killAfter; ++k) {
-      const auto response = stream.mutate(mutateRequestFor(config, k));
+      const auto response =
+          stream.mutate(mutateRequestFor(config, recordFor(k)));
       if (response.status != SessionStatus::kOk) {
         cell.detail = "pre-kill seq " + std::to_string(k) + ": " +
                       response.error;
@@ -253,7 +219,8 @@ FailoverCell runFailoverCell(const std::string& ack, std::uint64_t killAfter,
     bool firstAck = true;
     std::uint64_t k = killAfter + 1;
     while (k <= total) {
-      const auto response = stream.mutate(mutateRequestFor(config, k));
+      const auto response =
+          stream.mutate(mutateRequestFor(config, recordFor(k)));
       if (response.status == SessionStatus::kBadSequence) {
         if (++cell.rewinds > 8) {
           cell.detail = "rewind bound exceeded";
@@ -324,24 +291,22 @@ DeposedCell runDeposedCell() {
   const SessionConfig config = sessionConfig();
   const std::uint64_t kAcked = 3;
 
-  char primaryTemplate[] = "/tmp/rfsm-a19d-XXXXXX";
-  char standbyTemplate[] = "/tmp/rfsm-a19e-XXXXXX";
-  const char* primaryDir = mkdtemp(primaryTemplate);
-  const char* standbyDir = mkdtemp(standbyTemplate);
-  if (primaryDir == nullptr || standbyDir == nullptr) {
+  const TempDir primaryDir;
+  const TempDir standbyDir;
+  if (primaryDir.path.empty() || standbyDir.path.empty()) {
     cell.detail = "mkdtemp failed";
     return cell;
   }
-  const std::string primarySock = std::string(primaryDir) + "/rfsmd.sock";
-  const std::string standbySock = std::string(standbyDir) + "/rfsmd.sock";
+  const std::string primarySock = primaryDir.path + "/rfsmd.sock";
+  const std::string standbySock = standbyDir.path + "/rfsmd.sock";
 
   Daemon standby;
-  if (!standby.start(standbySock, standbyDir)) {
+  if (!standby.start(standbySock, standbyDir.path)) {
     cell.detail = "standby did not start";
     return cell;
   }
   Daemon primary;
-  if (!primary.start(primarySock, primaryDir,
+  if (!primary.start(primarySock, primaryDir.path,
                      {"--replica", standbySock, "--repl-ack", "quorum"})) {
     cell.detail = "primary did not start";
     return cell;
@@ -358,7 +323,7 @@ DeposedCell runDeposedCell() {
         return cell;
       }
       for (std::uint64_t k = 1; k <= kAcked; ++k)
-        if (stream.mutate(mutateRequestFor(config, k)).status !=
+        if (stream.mutate(mutateRequestFor(config, recordFor(k))).status !=
             SessionStatus::kOk) {
           cell.detail = "seq " + std::to_string(k) + " failed";
           return cell;
@@ -378,8 +343,8 @@ DeposedCell runDeposedCell() {
         cell.detail = "standby resume failed";
         return cell;
       }
-      if (stream.mutate(mutateRequestFor(config, kAcked + 1)).status !=
-          SessionStatus::kOk) {
+      if (stream.mutate(mutateRequestFor(config, recordFor(kAcked + 1)))
+              .status != SessionStatus::kOk) {
         cell.detail = "standby mutate failed";
         return cell;
       }
@@ -388,7 +353,7 @@ DeposedCell runDeposedCell() {
     // The deposed primary comes back on its old state dir and keeps
     // streaming under epoch 1.
     Daemon deposed;
-    if (!deposed.start(primarySock, primaryDir,
+    if (!deposed.start(primarySock, primaryDir.path,
                        {"--replica", standbySock, "--repl-ack", "quorum"})) {
       cell.detail = "deposed primary did not restart";
       return cell;
@@ -399,8 +364,8 @@ DeposedCell runDeposedCell() {
       cell.detail = "deposed resume failed";
       return cell;
     }
-    const auto refused =
-        stream.mutate(mutateRequestFor(config, resumed.lastApplied + 1));
+    const auto refused = stream.mutate(
+        mutateRequestFor(config, recordFor(resumed.lastApplied + 1)));
     cell.fenced = refused.status == SessionStatus::kStaleEpoch;
     if (!cell.fenced)
       cell.detail = std::string("expected STALE_EPOCH, got ") +

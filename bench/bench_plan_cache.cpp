@@ -31,24 +31,12 @@
 #include "util/histogram.hpp"
 #include "util/ipc.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-a15-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
 
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;
@@ -62,85 +50,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
-
-/// A correct remote replica for the poisoning cell.  It must NOT be an
-/// in-process RunningServer: that would share this process's plan cache and
-/// happily serve the poisoned entry back, letting the poison vouch for
-/// itself.  Planning with kBypass models a separate process with its own
-/// (empty) cache.
-class HonestEndpoint {
- public:
-  explicit HonestEndpoint(std::string path)
-      : path_(std::move(path)),
-        listen_(ipc::listenUnix(path_)),
-        thread_([this] { serve(); }) {}
-
-  ~HonestEndpoint() {
-    stop_.cancel();
-    thread_.join();
-    unlink(path_.c_str());
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  void serve() {
-    while (!stop_.expired()) {
-      CancelToken slice(200ms);
-      auto connection = ipc::acceptUnix(listen_.get(), &slice);
-      if (!connection.has_value()) continue;
-      try {
-        handle(connection->get());
-      } catch (const Error&) {
-        // Client went away: next connection.
-      }
-    }
-  }
-
-  void handle(int fd) {
-    std::string payload;
-    CancelToken read(2000ms);
-    if (ipc::readFrame(fd, payload, &read) != ipc::ReadStatus::kOk) return;
-    const auto request = service::decodePlanRequest(payload);
-    service::PlanResponse response;
-    response.status = WorkResult::Status::kOk;
-    response.programs =
-        service::planRange(request.spec, request.rangeLo(), request.rangeHi(),
-                           nullptr, 1, service::PlanCacheMode::kBypass);
-    ipc::writeFrame(fd, service::encodePlanResponse(response));
-  }
-
-  std::string path_;
-  ipc::Fd listen_;
-  CancelToken stop_;
-  std::thread thread_;
-};
 
 std::uint64_t hitsValue() {
   return metrics::counter(metrics::kServicePlanCacheHits).value();
@@ -256,7 +165,10 @@ bool printArtifact(bool smoke) {
   bool poisonNeverServed = false;
   {
     service::clearPlanCache();
-    HonestEndpoint honest(freshSocketPath("poison-honest"));
+    // Not an in-process RunningServer: that would share this process's
+    // plan cache and serve the poisoned entry back, letting the poison
+    // vouch for itself.
+    FakeEndpoint honest(freshSocketPath("poison-honest"));
     std::ostringstream err;
     service::ClientResult seed = planViaFabric(
         spec, {ipc::parseEndpoint(honest.path())}, err);

@@ -18,18 +18,10 @@
 #include "service/server.hpp"
 #include "util/fault.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;

@@ -32,6 +32,7 @@
 #include "service/session.hpp"
 #include "util/ipc.hpp"
 #include "util/table.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm::bench {
 namespace {
@@ -44,15 +45,6 @@ using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 SessionConfig sessionConfig(const std::string& tenant,
                             const std::string& name) {
@@ -67,31 +59,13 @@ SessionConfig sessionConfig(const std::string& tenant,
   return config;
 }
 
-service::SessionOpenRequest openRequestFor(const SessionConfig& config) {
-  service::SessionOpenRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight = static_cast<std::uint32_t>(config.weight);
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  return request;
-}
-
-service::SessionMutateRequest mutateRequestFor(const SessionConfig& config,
-                                               std::uint64_t seq,
-                                               bool defer = false) {
-  service::SessionMutateRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.seq = seq;
-  request.deltaCount = 3;
-  request.mutationSeed = 0xA16000 + seq;
-  request.defer = defer;
-  return request;
+MutationRecord mutationFor(std::uint64_t seq, bool defer = false) {
+  MutationRecord rec;
+  rec.seq = seq;
+  rec.deltaCount = 3;
+  rec.mutationSeed = 0xA16000 + seq;
+  rec.defer = defer;
+  return rec;
 }
 
 double quantile(std::vector<double> values, double q) {
@@ -138,7 +112,8 @@ RatePoint runRate(double offeredPerSec, std::uint64_t mutations,
   for (std::uint64_t seq = 1; seq <= mutations; ++seq) {
     std::this_thread::sleep_until(arrival);
     while (true) {
-      const auto response = store.mutate(mutateRequestFor(config, seq));
+      const auto response =
+          store.mutate(mutateRequestFor(config, mutationFor(seq)));
       if (response.status == SessionStatus::kResourceExhausted) {
         ++point.rejections;
         std::this_thread::sleep_for(
@@ -198,12 +173,7 @@ struct Daemon {
 /// The shared mutation schedule: odd seqs defer (compacted into the next
 /// even flush), the final seq always flushes.
 MutationRecord scheduledMut(std::uint64_t k, std::uint64_t total) {
-  MutationRecord rec;
-  rec.seq = k;
-  rec.deltaCount = 3;
-  rec.mutationSeed = 0xA16000 + k;
-  rec.defer = k % 2 == 1 && k != total;
-  return rec;
+  return mutationFor(k, k % 2 == 1 && k != total);
 }
 
 struct KillCell {
@@ -228,14 +198,12 @@ KillCell runKillCell() {
     }
   }
 
-  char dirTemplate[] = "/tmp/rfsm-a16-XXXXXX";
-  const char* stateDir = mkdtemp(dirTemplate);
-  if (stateDir == nullptr) {
+  const TempDir stateDir;
+  if (stateDir.path.empty()) {
     cell.detail = "mkdtemp failed";
     return cell;
   }
-  const std::string socketPath =
-      std::string(stateDir) + "/rfsmd.sock";
+  const std::string socketPath = stateDir.path + "/rfsmd.sock";
 
   const auto streamRange =
       [&config](service::SessionStream& stream, std::uint64_t from,
@@ -243,15 +211,8 @@ KillCell runKillCell() {
                 std::vector<std::pair<std::uint64_t, std::string>>*
                     transcript) -> bool {
     for (std::uint64_t k = from; k <= to; ++k) {
-      const MutationRecord rec = scheduledMut(k, total);
-      service::SessionMutateRequest request;
-      request.tenant = config.tenant;
-      request.name = config.name;
-      request.seq = rec.seq;
-      request.deltaCount = rec.deltaCount;
-      request.mutationSeed = rec.mutationSeed;
-      request.defer = rec.defer;
-      const auto response = stream.mutate(request);
+      const auto response =
+          stream.mutate(mutateRequestFor(config, scheduledMut(k, total)));
       if (response.status != SessionStatus::kOk &&
           response.status != SessionStatus::kAccepted)
         return false;
@@ -267,7 +228,7 @@ KillCell runKillCell() {
   streamOptions.retryFor = 15s;
 
   Daemon daemon;
-  if (!daemon.start(socketPath, stateDir)) {
+  if (!daemon.start(socketPath, stateDir.path)) {
     cell.detail = "rfsmd did not start";
     return cell;
   }
@@ -288,7 +249,7 @@ KillCell runKillCell() {
   daemon.sigkill();
 
   Daemon restarted;
-  if (!restarted.start(socketPath, stateDir)) {
+  if (!restarted.start(socketPath, stateDir.path)) {
     cell.detail = "rfsmd did not restart";
     return cell;
   }
@@ -332,7 +293,7 @@ std::vector<double> victimLatencies(SessionService& store,
   latenciesMs.reserve(mutations);
   for (std::uint64_t k = 1; k <= mutations; ++k) {
     const auto start = std::chrono::steady_clock::now();
-    store.mutate(mutateRequestFor(victim, k));
+    store.mutate(mutateRequestFor(victim, mutationFor(k)));
     latenciesMs.push_back(std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - start)
                               .count());
@@ -372,7 +333,7 @@ FairnessCell runFairnessCell(std::uint64_t victimMutations,
   for (const SessionConfig& config : aggressors)
     threads.emplace_back([&store, config, aggressorMutations] {
       for (std::uint64_t k = 1; k <= aggressorMutations; ++k)
-        store.mutate(mutateRequestFor(config, k));
+        store.mutate(mutateRequestFor(config, mutationFor(k)));
     });
   cell.victimContendedP99Ms =
       quantile(victimLatencies(store, victim, victimMutations), 0.99);
@@ -472,7 +433,8 @@ void sessionMutateBench(benchmark::State& state) {
   store.open(openRequestFor(config));
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.mutate(mutateRequestFor(config, ++seq)));
+    benchmark::DoNotOptimize(
+        store.mutate(mutateRequestFor(config, mutationFor(++seq))));
   }
   state.SetLabel("streamed mutate -> plan, in-process");
   state.SetItemsProcessed(state.iterations());
@@ -491,8 +453,10 @@ void sessionCompactionBench(benchmark::State& state) {
   const std::uint64_t run = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     for (std::uint64_t k = 1; k < run; ++k)
-      store.mutate(mutateRequestFor(config, ++seq, /*defer=*/true));
-    benchmark::DoNotOptimize(store.mutate(mutateRequestFor(config, ++seq)));
+      store.mutate(
+          mutateRequestFor(config, mutationFor(++seq, /*defer=*/true)));
+    benchmark::DoNotOptimize(
+        store.mutate(mutateRequestFor(config, mutationFor(++seq))));
   }
   state.SetLabel("deferred run compacted into one plan");
   state.SetItemsProcessed(state.iterations() *

@@ -91,6 +91,56 @@ ClientResult planLocal(const BatchSpec& spec, std::int64_t deadlineMs,
   return result;
 }
 
+PlanReply requestPlan(const ipc::Endpoint& endpoint, const PlanRequest& request,
+                      std::int64_t timeoutMs, const CancelToken* cancel) {
+  PlanReply reply;
+  std::optional<std::string> bytes;
+  try {
+    bytes = exchangeEndpoint(endpoint, encodePlanRequest(request), timeoutMs,
+                             cancel);
+  } catch (const ipc::FrameError& error) {
+    // The endpoint answered, but the bytes failed their CRC or length
+    // check: the reply is untrustworthy and never served.  Malformed, not
+    // unreachable — the peer is alive and misbehaving.
+    reply.reason = kReasonMalformed;
+    reply.error = error.what();
+    return reply;
+  } catch (const ipc::IpcError& error) {
+    reply.error = error.what();
+    return reply;
+  }
+  if (!bytes.has_value()) {
+    reply.error = "endpoint did not answer";
+    return reply;
+  }
+  PlanResponse response;
+  try {
+    response = decodePlanResponse(*bytes);
+  } catch (const Error& error) {
+    reply.reason = kReasonMalformed;
+    reply.error = error.what();
+    return reply;
+  }
+  reply.retries = response.retries;
+  reply.crashes = response.crashes;
+  reply.cacheHits = response.cacheHits;
+  reply.error = std::move(response.error);
+  switch (response.status) {
+    case WorkResult::Status::kUnavailable:
+      reply.reason = kReasonUnhealthy;
+      break;
+    case WorkResult::Status::kShed:
+      // A healthy pool said "not now" (queue full): overload, not unhealth.
+      reply.reason = kReasonOverloaded;
+      break;
+    default:
+      reply.status = response.status;
+      reply.programs = std::move(response.programs);
+      break;
+  }
+  return reply;
+}
+
 ClientResult planBatch(const BatchSpec& spec, const ClientOptions& options,
                        std::ostream& err) {
   PlanRequest request;
@@ -103,61 +153,31 @@ ClientResult planBatch(const BatchSpec& spec, const ClientOptions& options,
   // Read after the span installs itself, so the server parents under it.
   request.context = trace::currentContext();
 
-  std::optional<std::string> reply;
+  ipc::Endpoint endpoint;
   try {
-    // The transport timeout leaves headroom over the request deadline so a
-    // cooperative DEADLINE_EXCEEDED reply still arrives.
-    const std::int64_t timeoutMs =
-        options.deadlineMs > 0 ? options.deadlineMs + 2000 : 0;
-    reply = exchangeEndpoint(ipc::parseEndpoint(options.socketPath),
-                             encodePlanRequest(request), timeoutMs);
-  } catch (const ipc::FrameError& error) {
-    // The server answered, but the bytes failed their CRC or length check:
-    // the reply is untrustworthy, never served — replan in-process.
-    return degrade(spec, options, err, kReasonMalformed, error.what());
+    endpoint = ipc::parseEndpoint(options.socketPath);
   } catch (const ipc::IpcError& error) {
     return degrade(spec, options, err, kReasonUnreachable, error.what());
   }
-  if (!reply.has_value())
-    return degrade(spec, options, err, kReasonUnreachable,
-                   "server did not answer");
-
-  PlanResponse response;
-  try {
-    response = decodePlanResponse(*reply);
-  } catch (const Error& error) {
-    return degrade(spec, options, err, kReasonMalformed, error.what());
+  // The transport timeout leaves headroom over the request deadline so a
+  // cooperative DEADLINE_EXCEEDED reply still arrives.
+  PlanReply reply =
+      requestPlan(endpoint, request,
+                  options.deadlineMs > 0 ? options.deadlineMs + 2000 : 0);
+  if (reply.status == WorkResult::Status::kUnavailable) {
+    ClientResult fallback =
+        degrade(spec, options, err, reply.reason, reply.error);
+    fallback.retries = reply.retries;
+    fallback.crashes = reply.crashes;
+    return fallback;
   }
-
   ClientResult result;
-  result.retries = response.retries;
-  result.crashes = response.crashes;
-  result.cacheHits = response.cacheHits;
-  switch (response.status) {
-    case WorkResult::Status::kOk:
-      result.status = WorkResult::Status::kOk;
-      result.programs = std::move(response.programs);
-      return result;
-    case WorkResult::Status::kUnavailable:
-    case WorkResult::Status::kShed: {
-      // kShed means a healthy pool said "not now" (queue full); that is
-      // overload, not unhealth — the reason tokens keep them apart.
-      const char* reason = response.status == WorkResult::Status::kShed
-                               ? kReasonOverloaded
-                               : kReasonUnhealthy;
-      ClientResult fallback =
-          degrade(spec, options, err, reason, response.error);
-      fallback.retries = response.retries;
-      fallback.crashes = response.crashes;
-      return fallback;
-    }
-    case WorkResult::Status::kDeadlineExceeded:
-    case WorkResult::Status::kFailed:
-      result.status = response.status;
-      result.error = response.error;
-      return result;
-  }
-  result.error = "unknown response status";
+  result.status = reply.status;
+  result.programs = std::move(reply.programs);
+  result.error = std::move(reply.error);
+  result.retries = reply.retries;
+  result.crashes = reply.crashes;
+  result.cacheHits = reply.cacheHits;
   return result;
 }
 

@@ -1,15 +1,20 @@
 // Client side of the planner service, with graceful degradation.
 //
+// requestPlan is the one place a plan reply is classified: it sends one
+// PlanRequest to one endpoint and returns ok, deadline, failed, or a
+// transport failure with its stable reason token (no answer, a malformed
+// frame or payload, an UNAVAILABLE pool, or a shed request).  planBatch and
+// the fabric (src/service/fabric.hpp) both build on it, so the two paths
+// cannot drift in what they call a failure or how they name it.
+//
 // planBatch is what `rfsmc plan --server` calls: it tries the rfsmd at
-// `socketPath`, and when the service cannot take the work — no socket,
-// server gone mid-request, or the pool reported UNAVAILABLE / shed the
-// request — it *degrades* to in-process planning and still returns correct
-// results (logged on stderr, counted in service.degraded; stdout stays
-// byte-identical to a healthy server run, which is how CI asserts the
-// fallback is lossless).  DEADLINE_EXCEEDED and FAILED do not degrade:
-// the former is the caller's budget expiring (replanning would blow it
-// further), the latter is a deterministic planner defect that would fail
-// identically in-process.
+// `socketPath`, and on a transport failure it *degrades* to in-process
+// planning and still returns correct results (logged on stderr, counted in
+// service.degraded; stdout stays byte-identical to a healthy server run,
+// which is how CI asserts the fallback is lossless).  DEADLINE_EXCEEDED and
+// FAILED do not degrade: the former is the caller's budget expiring
+// (replanning would blow it further), the latter is a deterministic planner
+// defect that would fail identically in-process.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +56,29 @@ inline constexpr const char* kReasonUnreachable = "unreachable";
 inline constexpr const char* kReasonUnhealthy = "unhealthy";
 inline constexpr const char* kReasonOverloaded = "overloaded";
 inline constexpr const char* kReasonMalformed = "malformed response";
+
+/// One plan exchange with one endpoint, classified by requestPlan.
+struct PlanReply {
+  /// kOk, kDeadlineExceeded or kFailed as the endpoint answered;
+  /// kUnavailable for a transport failure, which `reason` names.
+  WorkResult::Status status = WorkResult::Status::kUnavailable;
+  /// Stable reason token of a transport failure (kReason* above).
+  const char* reason = kReasonUnreachable;
+  std::vector<std::string> programs;  ///< one text per instance when kOk
+  std::string error;  ///< the server's error or the transport detail
+  std::uint64_t retries = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t cacheHits = 0;
+};
+
+/// Sends `request` to `endpoint` (exchangeEndpoint's `timeoutMs` and
+/// `cancel`) and classifies the reply: an unanswered, CRC-corrupt or
+/// undecodable exchange and an UNAVAILABLE or shed reply come back as
+/// kUnavailable with their reason token.  Never throws on transport or
+/// decoding failures.
+PlanReply requestPlan(const ipc::Endpoint& endpoint, const PlanRequest& request,
+                      std::int64_t timeoutMs,
+                      const CancelToken* cancel = nullptr);
 
 struct ClientResult {
   WorkResult::Status status = WorkResult::Status::kFailed;

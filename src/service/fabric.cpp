@@ -23,52 +23,31 @@ namespace {
 using Clock = CancelToken::Clock;
 constexpr std::size_t kNoEndpoint = static_cast<std::size_t>(-1);
 
-/// Outcome of one exchange with one endpoint.
-struct Attempt {
-  enum class Kind {
-    kOk,         ///< programs hold the shard's bytes
-    kTransport,  ///< connect/read/decode failure, UNAVAILABLE, or shed —
-                 ///< the endpoint's fault; reroute and feed the breaker
-    kDeadline,   ///< cooperative DEADLINE_EXCEEDED (endpoint healthy)
-    kFailed,     ///< deterministic planner defect (endpoint healthy)
-    kAborted,    ///< cancelled by the fabric (hedge loser)
-  };
-  Kind kind = Kind::kTransport;
+/// One shard exchange with one endpoint, classified by requestPlan.
+struct Attempt : PlanReply {
   std::size_t endpoint = kNoEndpoint;
-  std::vector<std::string> programs;
-  std::string error;
-  /// Stable degradation reason when kind == kTransport (client.hpp tokens).
-  const char* reason = kReasonUnreachable;
-  std::uint64_t retries = 0;
-  std::uint64_t crashes = 0;
-  /// Instances served from a plan cache: the remote server's (reported on
-  /// the wire) or, for a shard never dispatched at all, this process's.
-  std::uint64_t cacheHits = 0;
+  /// Cancelled by the fabric (a hedge loser): its breaker sees
+  /// recordAbandoned, not a verdict.
+  bool aborted = false;
 };
 
-bool isTerminal(Attempt::Kind kind) {
-  return kind == Attempt::Kind::kOk || kind == Attempt::Kind::kDeadline ||
-         kind == Attempt::Kind::kFailed;
+/// Ok, deadline and failed are the endpoint's answer; a transport failure
+/// (or an aborted leg) leaves the shard for another endpoint.
+bool isTerminal(const Attempt& attempt) {
+  return attempt.status != WorkResult::Status::kUnavailable;
 }
 
-/// One request/response exchange, classified.  `abandoned` (when given) is
-/// checked after the wire work: a cancelled hedge loser reports kAborted
-/// instead of blaming the endpoint for the cancellation.  `attemptTag`
-/// names the duplication kind (primary / retry / hedge / quorum /
-/// cache-verify) on the attempt span, and the span's own context rides the
-/// outgoing frame so the remote server parents under this exact attempt.
+/// One request/response exchange.  `abandoned` (when given) is checked
+/// after the wire work: a cancelled hedge loser reports `aborted` instead
+/// of blaming the endpoint for the cancellation.  `attemptTag` names the
+/// duplication kind (primary / retry / hedge / quorum / cache-verify) on
+/// the attempt span, and the span's own context rides the outgoing frame
+/// so the remote server parents under this exact attempt.
 Attempt attemptOnce(const ipc::Endpoint& endpoint, std::size_t index,
                     const PlanRequest& request, std::int64_t timeoutMs,
                     const CancelToken* cancel,
                     const std::atomic<bool>* abandoned,
                     const char* attemptTag) {
-  Attempt attempt;
-  attempt.endpoint = index;
-  auto aborted = [abandoned] {
-    return abandoned != nullptr &&
-           abandoned->load(std::memory_order_relaxed);
-  };
-
   trace::ScopedSpan span("fabric.attempt", "fabric",
                          {trace::Arg::str("endpoint", endpoint.describe()),
                           trace::Arg::str("attempt", attemptTag),
@@ -76,84 +55,11 @@ Attempt attemptOnce(const ipc::Endpoint& endpoint, std::size_t index,
                           trace::Arg::num("hi", request.hi)});
   PlanRequest traced = request;
   traced.context = trace::currentContext();
-
-  std::optional<std::string> reply;
-  try {
-    reply = exchangeEndpoint(endpoint, encodePlanRequest(traced), timeoutMs,
-                             cancel);
-  } catch (const ipc::FrameError& error) {
-    // The endpoint answered with bytes that failed CRC/length validation:
-    // never served, reported as malformed so the breaker/reroute ladder
-    // treats the endpoint as misbehaving rather than merely unreachable.
-    attempt.kind = aborted() ? Attempt::Kind::kAborted
-                             : Attempt::Kind::kTransport;
-    attempt.reason = kReasonMalformed;
-    attempt.error = error.what();
-    return attempt;
-  } catch (const ipc::IpcError& error) {
-    attempt.kind = aborted() ? Attempt::Kind::kAborted
-                             : Attempt::Kind::kTransport;
-    attempt.error = error.what();
-    return attempt;
-  }
-  if (!reply.has_value()) {
-    attempt.kind = aborted() ? Attempt::Kind::kAborted
-                             : Attempt::Kind::kTransport;
-    attempt.error = "endpoint did not answer";
-    return attempt;
-  }
-
-  PlanResponse response;
-  try {
-    response = decodePlanResponse(*reply);
-  } catch (const Error& error) {
-    attempt.kind = Attempt::Kind::kTransport;
-    attempt.reason = kReasonMalformed;
-    attempt.error = error.what();
-    return attempt;
-  }
-  attempt.retries = response.retries;
-  attempt.crashes = response.crashes;
-  attempt.cacheHits = response.cacheHits;
-  attempt.error = response.error;
-  switch (response.status) {
-    case WorkResult::Status::kOk:
-      attempt.kind = Attempt::Kind::kOk;
-      attempt.programs = std::move(response.programs);
-      return attempt;
-    case WorkResult::Status::kUnavailable:
-      attempt.kind = Attempt::Kind::kTransport;
-      attempt.reason = kReasonUnhealthy;
-      return attempt;
-    case WorkResult::Status::kShed:
-      attempt.kind = Attempt::Kind::kTransport;
-      attempt.reason = kReasonOverloaded;
-      return attempt;
-    case WorkResult::Status::kDeadlineExceeded:
-      attempt.kind = Attempt::Kind::kDeadline;
-      return attempt;
-    case WorkResult::Status::kFailed:
-      attempt.kind = Attempt::Kind::kFailed;
-      return attempt;
-  }
-  attempt.error = "unknown response status";
+  Attempt attempt{requestPlan(endpoint, traced, timeoutMs, cancel)};
+  attempt.endpoint = index;
+  attempt.aborted = !isTerminal(attempt) && abandoned != nullptr &&
+                    abandoned->load(std::memory_order_relaxed);
   return attempt;
-}
-
-/// Severity merge across shards, mirroring the server's precedence table.
-WorkResult::Status merge(WorkResult::Status overall,
-                         WorkResult::Status shard) {
-  auto rank = [](WorkResult::Status status) {
-    switch (status) {
-      case WorkResult::Status::kDeadlineExceeded: return 3;
-      case WorkResult::Status::kUnavailable: return 2;
-      case WorkResult::Status::kShed: return 2;
-      case WorkResult::Status::kFailed: return 1;
-      case WorkResult::Status::kOk: return 0;
-    }
-    return 1;
-  };
-  return rank(shard) > rank(overall) ? shard : overall;
 }
 
 }  // namespace
@@ -208,19 +114,12 @@ struct Fabric::Impl {
   /// the endpoint answered within budget; the work itself was the problem.
   void settle(const Attempt& attempt) {
     if (attempt.endpoint == kNoEndpoint) return;
-    switch (attempt.kind) {
-      case Attempt::Kind::kTransport:
-        noteFailure(attempt.endpoint);
-        return;
-      case Attempt::Kind::kAborted:
-        breakers[attempt.endpoint]->recordAbandoned(Clock::now());
-        return;
-      case Attempt::Kind::kOk:
-      case Attempt::Kind::kDeadline:
-      case Attempt::Kind::kFailed:
-        breakers[attempt.endpoint]->recordSuccess(Clock::now());
-        return;
-    }
+    if (attempt.aborted)
+      breakers[attempt.endpoint]->recordAbandoned(Clock::now());
+    else if (isTerminal(attempt))
+      breakers[attempt.endpoint]->recordSuccess(Clock::now());
+    else
+      noteFailure(attempt.endpoint);
   }
 
   // --- one shard, possibly hedged -----------------------------------------
@@ -277,7 +176,7 @@ struct Fabric::Impl {
       for (int k = 0; k < legCount; ++k) {
         const Leg& leg = legs[static_cast<std::size_t>(k)];
         if (!leg.finished) continue;
-        if (isTerminal(leg.outcome.kind)) return true;
+        if (isTerminal(leg.outcome)) return true;
         ++done;
       }
       return done == legCount;
@@ -320,7 +219,7 @@ struct Fabric::Impl {
       // primary's verdict.
       for (int k = 0; k < legCount; ++k) {
         const Leg& leg = legs[static_cast<std::size_t>(k)];
-        if (leg.finished && isTerminal(leg.outcome.kind)) {
+        if (leg.finished && isTerminal(leg.outcome)) {
           winner = k;
           break;
         }
@@ -339,8 +238,7 @@ struct Fabric::Impl {
       if (threads[static_cast<std::size_t>(k)].joinable())
         threads[static_cast<std::size_t>(k)].join();
 
-    if (winner == 1 &&
-        isTerminal(legs[1].outcome.kind)) {
+    if (winner == 1 && isTerminal(legs[1].outcome)) {
       static metrics::Counter& hedgeWins =
           metrics::counter(metrics::kFabricHedgeWins);
       hedgeWins.add();
@@ -380,7 +278,7 @@ struct Fabric::Impl {
     for (const std::size_t index : replicas) {
       Attempt reply = attemptOnce(options.endpoints[index], index, request,
                                   timeoutMs, nullptr, nullptr, "quorum");
-      if (reply.kind == Attempt::Kind::kOk &&
+      if (reply.status == WorkResult::Status::kOk &&
           reply.programs != winner.programs)
         diverged = true;
       replies.push_back(std::move(reply));
@@ -408,7 +306,7 @@ struct Fabric::Impl {
       return;
     }
     auto judge = [&](const Attempt& reply) {
-      if (reply.kind != Attempt::Kind::kOk) {
+      if (reply.status != WorkResult::Status::kOk) {
         settle(reply);
         return;
       }
@@ -458,7 +356,7 @@ struct Fabric::Impl {
           options.deadlineMs > 0 ? options.deadlineMs + 2000 : 30000;
       replica = attemptOnce(options.endpoints[primary], primary, request,
                             timeoutMs, nullptr, nullptr, "cache-verify");
-      if (replica->kind == Attempt::Kind::kOk &&
+      if (replica->status == WorkResult::Status::kOk &&
           replica->programs == served.programs) {
         settle(*replica);  // independent agreement: the entry is clean
         return;
@@ -476,7 +374,8 @@ struct Fabric::Impl {
       return;  // cannot arbitrate; keep the served bytes
     }
     if (replica.has_value()) {
-      if (replica->kind == Attempt::Kind::kOk && replica->programs != truth) {
+      if (replica->status == WorkResult::Status::kOk &&
+          replica->programs != truth) {
         // The replica, not (necessarily) the cache, is the liar.
         static metrics::Counter& mismatchCounter =
             metrics::counter(metrics::kFabricQuorumMismatch);
@@ -529,7 +428,7 @@ struct Fabric::Impl {
       }
       if (programs.size() == static_cast<std::size_t>(hi - lo)) {
         Attempt served;
-        served.kind = Attempt::Kind::kOk;
+        served.status = WorkResult::Status::kOk;
         served.endpoint = kNoEndpoint;  // settles as a no-op
         served.programs = std::move(programs);
         served.cacheHits = hi - lo;
@@ -543,7 +442,6 @@ struct Fabric::Impl {
 
     Attempt last;
     last.error = "no healthy endpoint";
-    last.reason = kReasonUnreachable;
     for (int attempt = 1; attempt <= options.maxAttempts; ++attempt) {
       const std::size_t primary = pickEndpoint(
           (shardIndex + static_cast<std::size_t>(attempt - 1)) %
@@ -561,13 +459,13 @@ struct Fabric::Impl {
                              options.endpoints[primary].describe())});
       }
       Attempt result = hedgedExchange(primary, request, timeoutMs, attempt);
-      if (isTerminal(result.kind)) {
-        if (result.kind == Attempt::Kind::kOk && sampled &&
+      if (isTerminal(result)) {
+        if (result.status == WorkResult::Status::kOk && sampled &&
             options.quorum >= 2)
           verifyQuorum(spec, request, result);
         // Store post-quorum, so a lying winner's bytes never enter the
         // cache — only what verification (when sampled) let through.
-        if (result.kind == Attempt::Kind::kOk && planCacheEnabled() &&
+        if (result.status == WorkResult::Status::kOk && planCacheEnabled() &&
             result.programs.size() == static_cast<std::size_t>(hi - lo)) {
           for (std::uint64_t k = lo; k < hi; ++k)
             planCacheStore(planCacheKey(spec, k),
@@ -683,28 +581,12 @@ ClientResult Fabric::plan(const BatchSpec& spec, std::ostream& err) {
     result.retries += outcome.retries;
     result.crashes += outcome.crashes;
     result.cacheHits += outcome.cacheHits;
-    WorkResult::Status shardStatus = WorkResult::Status::kFailed;
-    switch (outcome.kind) {
-      case Attempt::Kind::kOk:
-        shardStatus = WorkResult::Status::kOk;
-        break;
-      case Attempt::Kind::kDeadline:
-        shardStatus = WorkResult::Status::kDeadlineExceeded;
-        break;
-      case Attempt::Kind::kFailed:
-        shardStatus = WorkResult::Status::kFailed;
-        break;
-      case Attempt::Kind::kTransport:
-      case Attempt::Kind::kAborted:
-        shardStatus = WorkResult::Status::kUnavailable;
-        break;
-    }
-    if (shardStatus != WorkResult::Status::kOk && detail.empty()) {
+    if (outcome.status != WorkResult::Status::kOk && detail.empty()) {
       reason = outcome.reason;
       detail = "shard [" + std::to_string(ranges[k].first) + ", " +
                std::to_string(ranges[k].second) + "): " + outcome.error;
     }
-    status = merge(status, shardStatus);
+    status = mergeSeverity(status, outcome.status);
   }
 
   if (status == WorkResult::Status::kOk) {

@@ -31,6 +31,11 @@
 //   3. in-process planning.
 // Each rung drop prints exactly one stderr notice with a stable reason
 // token (client.hpp's kReason* strings).
+//
+// Every exchange — primary, retry, hedge leg, quorum replica — is one
+// client.hpp requestPlan call, the same classifier planBatch uses, so a
+// reply means the same thing on every rung; per-shard statuses merge
+// through util/supervisor.hpp's mergeSeverity, as on the server.
 #pragma once
 
 #include <cstdint>

@@ -55,6 +55,30 @@ std::chrono::milliseconds backoffDelay(std::uint32_t attempt,
   return std::chrono::milliseconds(delayMs + jitterMs);
 }
 
+std::optional<std::string> exchangeOnLink(ipc::Fd& conn,
+                                          const ipc::Endpoint& endpoint,
+                                          const std::string& payload,
+                                          std::chrono::milliseconds readTimeout,
+                                          std::string& error) {
+  try {
+    if (!conn.valid() || ipc::pendingInput(conn.get())) {
+      conn.reset();
+      conn = ipc::connectEndpoint(endpoint, 1000);
+    }
+    ipc::writeFrame(conn.get(), payload);
+    CancelToken token(readTimeout);
+    std::string reply;
+    const ipc::ReadStatus status = ipc::readFrame(conn.get(), reply, &token);
+    if (status == ipc::ReadStatus::kOk) return reply;
+    error = status == ipc::ReadStatus::kEof ? "connection closed"
+                                            : "reply timeout";
+  } catch (const ipc::IpcError& failure) {
+    error = failure.what();
+  }
+  conn.reset();
+  return std::nullopt;
+}
+
 /// One standby endpoint: a serialized connection, a health breaker (stats
 /// visibility + fast-fail while the standby is down), and — in async mode —
 /// a bounded in-order queue drained by a dedicated worker.
@@ -119,7 +143,6 @@ std::string Replicator::exchange(Link& link, const std::string& payload) {
   chaos::ScopedReplLink replTag;
   const auto deadline = std::chrono::steady_clock::now() + options_.retryFor;
   std::uint32_t attempt = 0;
-  std::string lastError = "not connected";
   for (;;) {
     {
       // Shutdown must interrupt the retry ladder: ~Replicator joins the
@@ -128,35 +151,16 @@ std::string Replicator::exchange(Link& link, const std::string& payload) {
       std::lock_guard stop(link.queueMutex);
       if (link.stopping) throw ipc::IpcError("replicator stopping");
     }
-    try {
-      if (!link.conn.valid())
-        link.conn = ipc::connectEndpoint(link.endpoint, 1000);
-      else if (ipc::pendingInput(link.conn.get())) {
-        // A stale queued frame (duplicate from a chaos-injected resend)
-        // would pair with this request: reconnect instead of misparing.
-        lastError = "repl link desynchronized (unexpected pending frame)";
-        link.conn.reset();
-        link.conn = ipc::connectEndpoint(link.endpoint, 1000);
-      }
-      ipc::writeFrame(link.conn.get(), payload);
-      CancelToken token(options_.readTimeout);
-      std::string reply;
-      const ipc::ReadStatus status =
-          ipc::readFrame(link.conn.get(), reply, &token);
-      if (status == ipc::ReadStatus::kOk) return reply;
-      lastError = status == ipc::ReadStatus::kEof ? "connection closed"
-                                                  : "reply timeout";
-      link.conn.reset();
-    } catch (const ipc::IpcError& error) {
-      lastError = error.what();
-      link.conn.reset();
-    }
+    std::string error;
+    if (auto reply = exchangeOnLink(link.conn, link.endpoint, payload,
+                                    options_.readTimeout, error))
+      return *std::move(reply);
     // Resending is safe: standbys answer duplicate sequence numbers
     // idempotently, exactly like the client-facing session path.
     const auto delay = backoffDelay(attempt++, link.endpoint.describe());
     if (std::chrono::steady_clock::now() + delay >= deadline)
       throw ipc::IpcError("standby " + link.endpoint.describe() +
-                          " unreachable: " + lastError);
+                          " unreachable: " + error);
     // Interruptible backoff: the destructor's stop flag cuts the sleep
     // short instead of serving it out against a standby that is gone.
     std::unique_lock stop(link.queueMutex);

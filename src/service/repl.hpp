@@ -64,6 +64,19 @@ inline constexpr std::chrono::milliseconds kReconnectBackoffCap{1000};
 std::chrono::milliseconds backoffDelay(std::uint32_t attempt,
                                        std::string_view salt);
 
+/// One request/reply exchange on a reused connection: the link primitive
+/// under SessionStream and the Replicator, which keep their own retry
+/// loops around it.  Connects when `conn` is closed, and reconnects when a
+/// frame is already pending on it (a duplicated or late reply that a read
+/// would pair with this request); then writes `payload` and reads the reply
+/// within `readTimeout`.  On any failure `conn` is reset, `error` says why,
+/// and the result is nullopt.
+std::optional<std::string> exchangeOnLink(ipc::Fd& conn,
+                                          const ipc::Endpoint& endpoint,
+                                          const std::string& payload,
+                                          std::chrono::milliseconds readTimeout,
+                                          std::string& error);
+
 struct ReplicatorOptions {
   std::vector<ipc::Endpoint> replicas;
   ReplAck ack = ReplAck::kQuorum;

@@ -20,23 +20,6 @@
 namespace rfsm::service {
 namespace {
 
-/// Merges per-shard outcomes by severity: deadline beats unavailability
-/// beats plain failure beats success (see the header's precedence table).
-WorkResult::Status merge(WorkResult::Status overall,
-                         WorkResult::Status shard) {
-  auto rank = [](WorkResult::Status status) {
-    switch (status) {
-      case WorkResult::Status::kDeadlineExceeded: return 3;
-      case WorkResult::Status::kUnavailable: return 2;
-      case WorkResult::Status::kShed: return 2;
-      case WorkResult::Status::kFailed: return 1;
-      case WorkResult::Status::kOk: return 0;
-    }
-    return 1;
-  };
-  return rank(shard) > rank(overall) ? shard : overall;
-}
-
 /// Builds the pool options before the Supervisor member is constructed:
 /// the worker command is `<rfsmd> --worker`.
 SupervisorOptions poolOptions(ServerOptions& options) {
@@ -242,7 +225,7 @@ PlanResponse Server::handlePlan(const PlanRequest& request) {
                        std::string(toString(shardStatus)) +
                        (shardError.empty() ? "" : " - " + shardError);
     }
-    response.status = merge(response.status, shardStatus);
+    response.status = mergeSeverity(response.status, shardStatus);
     trace::asyncInstant(
         "service.shard_done", "service", correlation,
         {trace::Arg::num("lo", ranges[k].first),

@@ -103,61 +103,6 @@ bool parseMutPayload(const std::string& payload, MutationRecord& rec) {
   return rec.seq > 0;
 }
 
-/// A session config from an open or replAppend frame (the same fields).
-template <class Request>
-SessionConfig configOf(const Request& request) {
-  SessionConfig config;
-  config.tenant = request.tenant;
-  config.name = request.name;
-  config.priority = static_cast<int>(request.priority);
-  config.weight =
-      static_cast<double>(std::max<std::uint32_t>(1, request.weight));
-  config.planner = request.planner;
-  config.stateCount = request.stateCount;
-  config.inputCount = request.inputCount;
-  config.outputCount = request.outputCount;
-  config.seed = request.seed;
-  return config;
-}
-
-/// The journaled record of a mutate or replAppend frame.
-template <class Request>
-MutationRecord recordOf(const Request& request) {
-  MutationRecord rec;
-  rec.seq = request.seq;
-  rec.deltaCount = request.deltaCount;
-  rec.newStateCount = request.newStateCount;
-  rec.mutationSeed = request.mutationSeed;
-  rec.defer = request.defer;
-  return rec;
-}
-
-/// The wire form of one journaled record for the replication plane:
-/// config (so the standby can self-create), fencing epoch, and the
-/// MutationRecord field for field.
-SessionReplAppendRequest replRequestFor(const SessionConfig& config,
-                                        std::uint64_t epoch,
-                                        const MutationRecord& rec) {
-  SessionReplAppendRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight =
-      static_cast<std::uint32_t>(std::max(1, static_cast<int>(config.weight)));
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  request.epoch = epoch;
-  request.seq = rec.seq;
-  request.deltaCount = rec.deltaCount;
-  request.newStateCount = rec.newStateCount;
-  request.mutationSeed = rec.mutationSeed;
-  request.defer = rec.defer;
-  return request;
-}
-
 }  // namespace
 
 // Snapshot records, described once for wire_fields.hpp's adaptors.
@@ -197,6 +142,56 @@ void fields(Io& io, EngineImage& m) {
 }
 
 }  // namespace wire
+
+SessionOpenRequest openRequestFor(const SessionConfig& config) {
+  SessionOpenRequest request;
+  request.tenant = config.tenant;
+  request.name = config.name;
+  request.priority = static_cast<std::uint32_t>(config.priority);
+  request.weight = static_cast<std::uint32_t>(config.weight);
+  request.planner = config.planner;
+  request.stateCount = config.stateCount;
+  request.inputCount = config.inputCount;
+  request.outputCount = config.outputCount;
+  request.seed = config.seed;
+  return request;
+}
+
+SessionMutateRequest mutateRequestFor(const SessionConfig& config,
+                                      const MutationRecord& rec) {
+  SessionMutateRequest request;
+  request.tenant = config.tenant;
+  request.name = config.name;
+  request.seq = rec.seq;
+  request.deltaCount = rec.deltaCount;
+  request.newStateCount = rec.newStateCount;
+  request.mutationSeed = rec.mutationSeed;
+  request.defer = rec.defer;
+  return request;
+}
+
+SessionReplAppendRequest replRequestFor(const SessionConfig& config,
+                                        std::uint64_t epoch,
+                                        const MutationRecord& rec) {
+  SessionReplAppendRequest request;
+  request.tenant = config.tenant;
+  request.name = config.name;
+  request.priority = static_cast<std::uint32_t>(config.priority);
+  request.weight =
+      static_cast<std::uint32_t>(std::max(1, static_cast<int>(config.weight)));
+  request.planner = config.planner;
+  request.stateCount = config.stateCount;
+  request.inputCount = config.inputCount;
+  request.outputCount = config.outputCount;
+  request.seed = config.seed;
+  request.epoch = epoch;
+  request.seq = rec.seq;
+  request.deltaCount = rec.deltaCount;
+  request.newStateCount = rec.newStateCount;
+  request.mutationSeed = rec.mutationSeed;
+  request.defer = rec.defer;
+  return request;
+}
 
 bool validSessionName(const std::string& name) {
   if (name.empty() || name.size() > 64) return false;
@@ -653,6 +648,9 @@ void SessionService::applyOne(Session& session, const MutationRecord rec) {
           static_cast<std::uint64_t>(outcome.deltasRaw - outcome.deltasPlanned));
   }
   session.outcomes[rec.seq] = std::move(outcome);
+  // The tail feeds WAL rewrites and standby resyncs; with neither, an
+  // applied record is dead weight for the rest of the session's life.
+  if (session.walPath.empty() && !replicator_) session.tail.erase(rec.seq);
   ++session.sinceSnapshot;
   if (options_.snapshotEvery > 0 &&
       session.sinceSnapshot >= options_.snapshotEvery) {
@@ -1265,7 +1263,9 @@ SessionReplSnapshotResponse SessionService::replInstall(
   // Verify and decode before touching the store: the bytes are the
   // primary's .snap file verbatim, checksum trailer included.  Its epoch
   // and role are not adopted: the frame's epoch governs, and we stay
-  // standby.
+  // standby.  The names become file names: validate them first.
+  if (!validSessionName(request.tenant) || !validSessionName(request.name))
+    return failed<SessionReplSnapshotResponse>(kBadNames);
   std::optional<SnapshotFile> snap;
   try {
     snap.emplace(readSnapshotFile(request.snapshot));
@@ -1273,6 +1273,11 @@ SessionReplSnapshotResponse SessionService::replInstall(
     return failed<SessionReplSnapshotResponse>(std::string("bad snapshot: ") +
                                                error.what());
   }
+  if (snap->engine.config().tenant != request.tenant ||
+      snap->engine.config().name != request.name)
+    return failed<SessionReplSnapshotResponse>(
+        "snapshot belongs to session " + snap->engine.config().tenant + "/" +
+        snap->engine.config().name);
   const std::string k = key(request.tenant, request.name);
   SessionReplSnapshotResponse response;
   SessionPtr session;
@@ -1537,36 +1542,14 @@ void SessionStream::rotate() {
 std::string SessionStream::exchange(const std::string& payload) {
   const auto deadline = std::chrono::steady_clock::now() + options_.retryFor;
   std::uint32_t attempt = 0;
-  std::string lastError = "not connected";
   for (;;) {
     const ipc::Endpoint& endpoint = endpoints_[current_];
     CircuitBreaker& breaker = *breakers_[current_];
-    try {
-      if (!conn_.valid()) {
-        conn_ = ipc::connectEndpoint(endpoint, 1000);
-      } else if (ipc::pendingInput(conn_.get())) {
-        // A reused connection with bytes already queued is desynchronized
-        // (a duplicated or late frame): a read now would pair the stale
-        // frame with this request.  Reconnect and resend instead.
-        lastError = "stream desynchronized (unexpected pending frame)";
-        conn_.reset();
-        conn_ = ipc::connectEndpoint(endpoint, 1000);
-      }
-      ipc::writeFrame(conn_.get(), payload);
-      CancelToken token(options_.readTimeout);
-      std::string reply;
-      const ipc::ReadStatus status =
-          ipc::readFrame(conn_.get(), reply, &token);
-      if (status == ipc::ReadStatus::kOk) {
-        breaker.recordSuccess();
-        return reply;
-      }
-      lastError = status == ipc::ReadStatus::kEof ? "connection closed"
-                                                  : "reply timeout";
-      conn_.reset();
-    } catch (const ipc::IpcError& error) {
-      lastError = error.what();
-      conn_.reset();
+    std::string error;
+    if (auto reply = exchangeOnLink(conn_, endpoint, payload,
+                                    options_.readTimeout, error)) {
+      breaker.recordSuccess();
+      return *std::move(reply);
     }
     // Resending after a reconnect is always safe: the server answers
     // duplicate sequence numbers from its (possibly journal-recovered)
@@ -1579,7 +1562,7 @@ std::string SessionStream::exchange(const std::string& payload) {
     const auto delay = backoffDelay(attempt++, endpoint.describe());
     if (std::chrono::steady_clock::now() + delay >= deadline)
       throw ipc::IpcError("session endpoint " + endpoint.describe() +
-                          " unreachable: " + lastError);
+                          " unreachable: " + error);
     std::this_thread::sleep_for(delay);
   }
 }

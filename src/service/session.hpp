@@ -31,6 +31,7 @@
 // (util/fair.hpp) across sessions.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -81,6 +82,56 @@ struct MutationRecord {
   std::uint64_t mutationSeed = 0;
   bool defer = false;
 };
+
+// --- Session frames <-> config and records --------------------------------
+//
+// The one place a session frame is filled from a SessionConfig and a
+// MutationRecord (or read back into them) field by field: the daemon, the
+// replicator, `rfsmc session stream`, tests and benches all build frames
+// here, so no copy can drift from the wire.
+
+/// A session config from an open or replAppend frame (the same fields).
+template <class Request>
+SessionConfig configOf(const Request& request) {
+  SessionConfig config;
+  config.tenant = request.tenant;
+  config.name = request.name;
+  config.priority = static_cast<int>(request.priority);
+  config.weight =
+      static_cast<double>(std::max<std::uint32_t>(1, request.weight));
+  config.planner = request.planner;
+  config.stateCount = request.stateCount;
+  config.inputCount = request.inputCount;
+  config.outputCount = request.outputCount;
+  config.seed = request.seed;
+  return config;
+}
+
+/// The journaled record of a mutate or replAppend frame.
+template <class Request>
+MutationRecord recordOf(const Request& request) {
+  MutationRecord rec;
+  rec.seq = request.seq;
+  rec.deltaCount = request.deltaCount;
+  rec.newStateCount = request.newStateCount;
+  rec.mutationSeed = request.mutationSeed;
+  rec.defer = request.defer;
+  return rec;
+}
+
+/// The open frame for `config` (`resume` keeps its default, true).
+SessionOpenRequest openRequestFor(const SessionConfig& config);
+
+/// The mutate frame carrying `rec` to the session `config` names.
+SessionMutateRequest mutateRequestFor(const SessionConfig& config,
+                                      const MutationRecord& rec);
+
+/// The wire form of one journaled record for the replication plane:
+/// config (so the standby can self-create), fencing epoch, and the
+/// MutationRecord field for field.
+SessionReplAppendRequest replRequestFor(const SessionConfig& config,
+                                        std::uint64_t epoch,
+                                        const MutationRecord& rec);
 
 /// What applying one mutation produced.  Failures are deterministic too
 /// (an infeasible spec fails identically on replay); a failed mutation

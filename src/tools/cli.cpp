@@ -735,17 +735,8 @@ int cmdSession(const std::vector<std::string>& args, std::ostream& out,
   streamOptions.retryFor = retryFor;
   service::SessionStream stream(streamOptions);
 
-  service::SessionOpenRequest openRequest;
-  openRequest.tenant = config.tenant;
-  openRequest.name = config.name;
-  openRequest.priority = static_cast<std::uint32_t>(config.priority);
-  openRequest.weight = static_cast<std::uint32_t>(config.weight);
-  openRequest.planner = config.planner;
-  openRequest.stateCount = config.stateCount;
-  openRequest.inputCount = config.inputCount;
-  openRequest.outputCount = config.outputCount;
-  openRequest.seed = config.seed;
-  openRequest.resume = true;
+  const service::SessionOpenRequest openRequest =
+      service::openRequestFor(config);
   const service::SessionOpenResponse opened = stream.open(openRequest);
   if (opened.status != service::SessionStatus::kOk) {
     err << "rfsmc: session open failed: " << toString(opened.status)
@@ -779,16 +770,9 @@ int cmdSession(const std::vector<std::string>& args, std::ostream& out,
   // to stay byte-identical to an uninterrupted run).
   std::uint64_t processedUpTo = start - 1;
   for (std::uint64_t k = start; k <= mutations; ++k) {
-    const service::MutationRecord rec = scheduleRecord(
-        k, mutations, deltas, newStates, seedBase, deferEvery);
-    service::SessionMutateRequest request;
-    request.tenant = config.tenant;
-    request.name = config.name;
-    request.seq = rec.seq;
-    request.deltaCount = rec.deltaCount;
-    request.newStateCount = rec.newStateCount;
-    request.mutationSeed = rec.mutationSeed;
-    request.defer = rec.defer;
+    const service::SessionMutateRequest request = service::mutateRequestFor(
+        config, scheduleRecord(k, mutations, deltas, newStates, seedBase,
+                               deferEvery));
     const auto admissionDeadline =
         std::chrono::steady_clock::now() + retryFor;
     for (;;) {

@@ -37,6 +37,21 @@ const char* toString(WorkResult::Status status) {
   return "UNKNOWN";
 }
 
+WorkResult::Status mergeSeverity(WorkResult::Status overall,
+                                 WorkResult::Status shard) {
+  auto rank = [](WorkResult::Status status) {
+    switch (status) {
+      case WorkResult::Status::kDeadlineExceeded: return 3;
+      case WorkResult::Status::kUnavailable: return 2;
+      case WorkResult::Status::kShed: return 2;
+      case WorkResult::Status::kFailed: return 1;
+      case WorkResult::Status::kOk: return 0;
+    }
+    return 1;
+  };
+  return rank(shard) > rank(overall) ? shard : overall;
+}
+
 std::chrono::milliseconds backoffDelay(int attempt,
                                        std::chrono::milliseconds base,
                                        std::chrono::milliseconds cap,

@@ -92,6 +92,13 @@ struct WorkResult {
 
 const char* toString(WorkResult::Status status);
 
+/// Merges per-shard outcomes by severity: deadline beats unavailability
+/// (UNAVAILABLE and shed rank alike; the first one seen is kept) beats
+/// plain failure beats success.  The one precedence table behind the
+/// server's and the fabric's batch status.
+WorkResult::Status mergeSeverity(WorkResult::Status overall,
+                                 WorkResult::Status shard);
+
 /// Pure backoff schedule (exposed for tests): base * 2^(attempt-1),
 /// capped, plus jitter01 * base.  `attempt` is 1-based.
 std::chrono::milliseconds backoffDelay(int attempt,

@@ -20,6 +20,7 @@
 #include "util/chaos.hpp"
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 namespace {
@@ -28,20 +29,6 @@ namespace {
 /// this binary — and the fixture-less tests — must never see stray chaos).
 struct PlaneGuard {
   ~PlaneGuard() { chaos::plane().disarm(); }
-};
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char buffer[] = "/tmp/rfsm-chaos-XXXXXX";
-    path = ::mkdtemp(buffer);
-  }
-  ~TempDir() {
-    if (path.empty()) return;
-    for (const std::string& name : fsio::listDir(path))
-      ::unlink((path + "/" + name).c_str());
-    ::rmdir(path.c_str());
-  }
 };
 
 TEST(ChaosProfiles, EveryNameResolvesAndRoundTripsItsName) {

@@ -24,25 +24,12 @@
 #include "util/breaker.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-fabric-" + std::to_string(getpid()) + "-" + tag +
-         ".sock";
-}
 
 service::BatchSpec smallSpec() {
   service::BatchSpec spec;
@@ -55,106 +42,6 @@ service::BatchSpec smallSpec() {
   spec.planner = "greedy";
   return spec;
 }
-
-service::ServerOptions serverOptions(const std::string& socketPath) {
-  service::ServerOptions options;
-  options.socketPath = socketPath;
-  options.workerBinary = rfsmdPath();
-  options.shardSize = 4;
-  options.pool.workers = 2;
-  return options;
-}
-
-struct RunningServer {
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(service::ServerOptions options)
-      : server(std::move(options)), thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-};
-
-/// An in-test endpoint speaking the real plan protocol, with scripted
-/// misbehaviour.  Honest replies are planRange's bytes — bit-identical to
-/// any other correct party — so any observable difference is the fault
-/// model, never the fake.
-class FakeEndpoint {
- public:
-  enum class Behavior {
-    kHonest,   ///< correct bytes
-    kTamper,   ///< appends junk to every program (a lying replica)
-    kSlow,     ///< answers correctly after `delay`
-    kSilent,   ///< accepts, reads, never answers
-  };
-
-  FakeEndpoint(std::string path, Behavior behavior,
-               std::chrono::milliseconds delay = 0ms)
-      : path_(std::move(path)),
-        behavior_(behavior),
-        delay_(delay),
-        listen_(ipc::listenUnix(path_)),
-        thread_([this] { serve(); }) {}
-
-  ~FakeEndpoint() {
-    stop_.cancel();
-    thread_.join();
-    unlink(path_.c_str());
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  void serve() {
-    while (!stop_.expired()) {
-      CancelToken slice(200ms);
-      auto connection = ipc::acceptUnix(listen_.get(), &slice);
-      if (!connection.has_value()) continue;
-      try {
-        handle(connection->get());
-      } catch (const Error&) {
-        // Client went away (e.g. a cancelled hedge loser): next connection.
-      }
-    }
-  }
-
-  void handle(int fd) {
-    std::string payload;
-    CancelToken read(2000ms);
-    if (ipc::readFrame(fd, payload, &read) != ipc::ReadStatus::kOk) return;
-    const auto request = service::decodePlanRequest(payload);
-    if (behavior_ == Behavior::kSilent) {
-      // Hold the connection open until the client gives up.
-      CancelToken hold(1000ms);
-      std::string ignored;
-      (void)ipc::readFrame(fd, ignored, &hold);
-      return;
-    }
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    service::PlanResponse response;
-    response.status = WorkResult::Status::kOk;
-    // kBypass: the fake plays a *remote* process — it must not share (or
-    // serve back) this process's plan cache, or a poisoned local entry
-    // could vouch for itself in the cache-verification tests below.
-    response.programs =
-        service::planRange(request.spec, request.rangeLo(), request.rangeHi(),
-                           nullptr, 1, service::PlanCacheMode::kBypass);
-    if (behavior_ == Behavior::kTamper)
-      for (std::string& program : response.programs)
-        program += "# tampered\n";
-    ipc::writeFrame(fd, service::encodePlanResponse(response));
-  }
-
-  std::string path_;
-  Behavior behavior_;
-  std::chrono::milliseconds delay_;
-  ipc::Fd listen_;
-  CancelToken stop_;
-  std::thread thread_;
-};
 
 service::FabricOptions fastFabric(std::vector<ipc::Endpoint> endpoints) {
   service::FabricOptions options;
@@ -173,13 +60,88 @@ std::size_t countOccurrences(const std::string& haystack,
   return count;
 }
 
+// --- One reply classifier under planBatch and the fabric ------------------
+
+struct ScriptedAnswer {
+  const char* name;
+  FakeEndpoint::Behavior behavior;
+  WorkResult::Status status;  ///< what both client paths must report
+  const char* reason;         ///< the stderr reason token; "" = no notice
+};
+
+/// The reason token of the first degradation notice in `err`.
+std::string firstReason(const std::string& err) {
+  const std::size_t open = err.find('(');
+  if (open == std::string::npos) return "";
+  return err.substr(open + 1, err.find(')', open) - open - 1);
+}
+
+class ClientAndFabric : public ::testing::TestWithParam<ScriptedAnswer> {};
+
+TEST_P(ClientAndFabric, ClassifyEveryReplyAlike) {
+  // planBatch and a one-endpoint fabric with no reroute, hedge or quorum
+  // must read each answer as the same status and name it with the same
+  // reason token.
+  const ScriptedAnswer& answer = GetParam();
+  FakeEndpoint fake(freshSocketPath(std::string("answer-") + answer.name),
+                    answer.behavior);
+  const service::BatchSpec spec = smallSpec();
+
+  service::ClientOptions client;
+  client.socketPath = fake.path();
+  std::ostringstream clientErr;
+  const service::ClientResult viaClient =
+      service::planBatch(spec, client, clientErr);
+
+  service::FabricOptions options =
+      fastFabric({ipc::parseEndpoint(fake.path())});
+  options.maxAttempts = 1;
+  service::Fabric fabric(options);
+  std::ostringstream fabricErr;
+  const service::ClientResult viaFabric = fabric.plan(spec, fabricErr);
+
+  EXPECT_EQ(viaClient.status, answer.status) << clientErr.str();
+  EXPECT_EQ(viaFabric.status, answer.status) << fabricErr.str();
+  EXPECT_EQ(firstReason(clientErr.str()), answer.reason) << clientErr.str();
+  EXPECT_EQ(firstReason(fabricErr.str()), answer.reason) << fabricErr.str();
+  if (answer.status == WorkResult::Status::kOk) {
+    EXPECT_EQ(viaClient.programs, viaFabric.programs);
+  }
+}
+
+// A transport failure of either kind degrades to in-process planning, so
+// it ends kOk; only the reason token tells the failures apart.
+INSTANTIATE_TEST_SUITE_P(
+    Answers, ClientAndFabric,
+    ::testing::Values(
+        ScriptedAnswer{"Ok", FakeEndpoint::Behavior::kHonest,
+                       WorkResult::Status::kOk, ""},
+        ScriptedAnswer{"Unavailable", FakeEndpoint::Behavior::kUnavailable,
+                       WorkResult::Status::kOk, "unhealthy"},
+        ScriptedAnswer{"Shed", FakeEndpoint::Behavior::kShed,
+                       WorkResult::Status::kOk, "overloaded"},
+        ScriptedAnswer{"DeadlineExceeded", FakeEndpoint::Behavior::kDeadline,
+                       WorkResult::Status::kDeadlineExceeded, ""},
+        ScriptedAnswer{"Failed", FakeEndpoint::Behavior::kFailed,
+                       WorkResult::Status::kFailed, ""},
+        ScriptedAnswer{"CorruptFrame", FakeEndpoint::Behavior::kCorruptFrame,
+                       WorkResult::Status::kOk, "malformed response"},
+        ScriptedAnswer{"UndecodablePayload",
+                       FakeEndpoint::Behavior::kUndecodable,
+                       WorkResult::Status::kOk, "malformed response"},
+        ScriptedAnswer{"Silence", FakeEndpoint::Behavior::kSilent,
+                       WorkResult::Status::kOk, "unreachable"}),
+    [](const ::testing::TestParamInfo<ScriptedAnswer>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- Rung 1: healthy fabric ----------------------------------------------
 
 TEST(Fabric, ShardsAcrossTwoServersBitIdentically) {
   const std::string pathA = freshSocketPath("a");
   const std::string pathB = freshSocketPath("b");
-  RunningServer serverA(serverOptions(pathA));
-  RunningServer serverB(serverOptions(pathB));
+  RunningServer serverA(smallServerOptions(pathA));
+  RunningServer serverB(smallServerOptions(pathB));
 
   const service::BatchSpec spec = smallSpec();
   service::Fabric fabric(fastFabric(
@@ -198,7 +160,7 @@ TEST(Fabric, ShardsAcrossTwoServersBitIdentically) {
 TEST(Fabric, ReroutesAroundADeadEndpoint) {
   const std::string live = freshSocketPath("live");
   const std::string dead = freshSocketPath("dead");  // nobody listens here
-  RunningServer server(serverOptions(live));
+  RunningServer server(smallServerOptions(live));
 
   const service::BatchSpec spec = smallSpec();
   service::FabricOptions options = fastFabric(
@@ -263,7 +225,7 @@ TEST(Fabric, SingleHealthyEndpointServesRungTwo) {
   // fallback to the live one.
   const std::string dead = freshSocketPath("rung2-dead");
   const std::string live = freshSocketPath("rung2-live");
-  RunningServer server(serverOptions(live));
+  RunningServer server(smallServerOptions(live));
 
   const service::BatchSpec spec = smallSpec();
   service::FabricOptions options = fastFabric(
@@ -511,7 +473,7 @@ TEST(Fabric, CleanCacheHitsPassQuorumVerificationQuietly) {
 
 TEST(Fabric, PreforkedServerWarmsWorkersBeforeFirstRequest) {
   const std::string path = freshSocketPath("prefork");
-  service::ServerOptions options = serverOptions(path);
+  service::ServerOptions options = smallServerOptions(path);
   options.pool.prefork = true;
   options.pool.warmupPayload = service::encodeWarmupRequest();
   metrics::Counter& preforked =

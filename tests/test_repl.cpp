@@ -17,10 +17,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/protocol.hpp"
@@ -33,6 +35,7 @@
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 
@@ -67,10 +70,11 @@ struct Gate {
   }
 };
 
-/// Holds a session's work without relying on timing: queues an item that
-/// blocks on a gate on the session's scheduler flow, so everything queued
-/// for that session after it waits until the gate opens.
+/// Reaches SessionService internals the tests below pin.
 struct SessionServiceTestAccess {
+  /// Holds a session's work without relying on timing: queues an item that
+  /// blocks on a gate on the session's scheduler flow, so everything queued
+  /// for that session after it waits until the gate opens.
   static std::shared_ptr<Gate> hold(SessionService& service,
                                     const std::string& flow) {
     auto gate = std::make_shared<Gate>();
@@ -80,6 +84,13 @@ struct SessionServiceTestAccess {
       service.work_.notify_all();
     }
     return gate;
+  }
+
+  /// Accepted records the session keeps for WAL rewrites and resyncs.
+  static std::size_t tailSize(SessionService& service,
+                              const std::string& tenant,
+                              const std::string& name) {
+    return service.resyncBundle(tenant, name).value().tail.size();
   }
 };
 
@@ -97,30 +108,8 @@ using service::SessionConfig;
 using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
+using service::SessionServiceTestAccess;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-/// A throwaway directory, removed with its contents on scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char name[] = "/tmp/rfsm-repl-XXXXXX";
-    path = mkdtemp(name);
-  }
-  ~TempDir() {
-    for (const std::string& file : fsio::listDir(path))
-      ::unlink((path + "/" + file).c_str());
-    ::rmdir(path.c_str());
-  }
-};
 
 SessionConfig smallConfig(const std::string& tenant = "t",
                           const std::string& name = "s") {
@@ -143,57 +132,6 @@ MutationRecord mut(std::uint64_t seq, bool defer = false,
   rec.mutationSeed = 500 + seq;
   rec.defer = defer;
   return rec;
-}
-
-service::SessionOpenRequest openRequestFor(const SessionConfig& config) {
-  service::SessionOpenRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight = static_cast<std::uint32_t>(config.weight);
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  return request;
-}
-
-service::SessionMutateRequest mutateRequestFor(const SessionConfig& config,
-                                               const MutationRecord& rec) {
-  service::SessionMutateRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.seq = rec.seq;
-  request.deltaCount = rec.deltaCount;
-  request.newStateCount = rec.newStateCount;
-  request.mutationSeed = rec.mutationSeed;
-  request.defer = rec.defer;
-  return request;
-}
-
-/// What the primary's Replicator ships for one accepted record.
-service::SessionReplAppendRequest replRequestFor(const SessionConfig& config,
-                                                 std::uint64_t epoch,
-                                                 const MutationRecord& rec) {
-  service::SessionReplAppendRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight =
-      static_cast<std::uint32_t>(std::max(1, static_cast<int>(config.weight)));
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  request.epoch = epoch;
-  request.seq = rec.seq;
-  request.deltaCount = rec.deltaCount;
-  request.newStateCount = rec.newStateCount;
-  request.mutationSeed = rec.mutationSeed;
-  request.defer = rec.defer;
-  return request;
 }
 
 /// Polls `status` until the warm replay has caught its journal (applied ==
@@ -650,6 +588,54 @@ TEST(ReplStandby, SnapshotInstallSeedsAStandbyForTailReplay) {
   EXPECT_NE(fresh.replInstall(install).status, SessionStatus::kOk);
 }
 
+TEST(ReplStandby, InstallRefusesBadNamesAndAnotherSessionsSnapshot) {
+  // The frame's names become file names and the map key: a traversal
+  // name must not reach the file system, and a snapshot must belong to
+  // the session the frame names.
+  const SessionConfig config = smallConfig();
+  TempDir primaryDir;
+  std::string snapshotBytes;
+  {
+    SessionServiceOptions options;
+    options.stateDir = primaryDir.path;
+    options.snapshotEvery = 1;
+    SessionService primary(options);
+    ASSERT_EQ(primary.open(openRequestFor(config)).status, SessionStatus::kOk);
+    ASSERT_EQ(primary.mutate(mutateRequestFor(config, mut(1))).status,
+              SessionStatus::kOk);
+    const auto bytes =
+        fsio::readFileIfExists(primaryDir.path + "/t@s.snap");
+    ASSERT_TRUE(bytes.has_value());
+    snapshotBytes = *bytes;
+  }
+
+  TempDir standbyDir;
+  SessionServiceOptions options;
+  options.stateDir = standbyDir.path;
+  SessionService standby(options);
+  const std::string escape = "rfsm-escape-" + std::to_string(::getpid());
+  service::SessionReplSnapshotRequest install;
+  install.tenant = "../" + escape;
+  install.name = "s";
+  install.epoch = 1;
+  install.snapshot = snapshotBytes;
+  const auto traversal = standby.replInstall(install);
+  EXPECT_EQ(traversal.status, SessionStatus::kFailed);
+  EXPECT_NE(traversal.error.find("tenant/session names"), std::string::npos)
+      << traversal.error;
+  EXPECT_FALSE(fsio::readFileIfExists(standbyDir.path + "/../" + escape +
+                                      "@s.snap")
+                   .has_value());
+
+  install.tenant = "u";  // a valid name, but the snapshot is t/s's
+  const auto foreign = standby.replInstall(install);
+  EXPECT_EQ(foreign.status, SessionStatus::kFailed);
+  EXPECT_NE(foreign.error.find("t/s"), std::string::npos) << foreign.error;
+
+  EXPECT_EQ(standby.sessionCount(), 0u);
+  EXPECT_TRUE(fsio::listDir(standbyDir.path).empty());
+}
+
 // --- Snapshot files from older builds and from hostile peers --------------
 
 /// FNV-1a 64: the snapshot file's checksum trailer.
@@ -846,10 +832,159 @@ TEST(ReplicatorTransport, ShutdownInterruptsTheRetryLadder) {
       << "ms against a 5000ms retry budget";
 }
 
+// --- The shared link: a doubled reply forces a reconnect ------------------
+
+/// A peer that answers every request twice: the right reply, then a stale
+/// one, in one write so the stale frame is already queued when the client
+/// sends its next request.  Serves one connection at a time.
+class DoubleAnsweringPeer {
+ public:
+  /// Maps a request payload to its (reply, stale reply) payloads.
+  using Answer =
+      std::function<std::pair<std::string, std::string>(const std::string&)>;
+
+  DoubleAnsweringPeer(std::string path, Answer answer)
+      : path_(std::move(path)),
+        answer_(std::move(answer)),
+        listen_(ipc::listenUnix(path_)),
+        thread_([this] { serve(); }) {}
+
+  ~DoubleAnsweringPeer() {
+    stop_.cancel();
+    thread_.join();
+    ::unlink(path_.c_str());
+  }
+
+  const std::string& path() const { return path_; }
+  int connections() const { return connections_.load(); }
+
+ private:
+  void serve() {
+    while (!stop_.expired()) {
+      CancelToken slice(200ms);
+      auto connection = ipc::acceptUnix(listen_.get(), &slice);
+      if (!connection.has_value()) continue;
+      ++connections_;
+      try {
+        std::string request;
+        while (ipc::readFrame(connection->get(), request, &stop_) ==
+               ipc::ReadStatus::kOk) {
+          const auto [reply, stale] = answer_(request);
+          if (!writeRaw(connection->get(),
+                        frameBytes(reply) + frameBytes(stale)))
+            break;
+        }
+      } catch (const Error&) {
+        // The client dropped the connection: serve the next one.
+      }
+    }
+  }
+
+  std::string path_;
+  Answer answer_;
+  ipc::Fd listen_;
+  CancelToken stop_;
+  std::atomic<int> connections_{0};
+  std::thread thread_;
+};
+
+TEST(SessionStreamLink, DoubledRepliesForceAReconnectNotAMispairing) {
+  DoubleAnsweringPeer peer(freshSocketPath("double-stream"),
+                           [](const std::string& payload) {
+    const auto request = service::decodeSessionMutateRequest(payload);
+    service::SessionMutateResponse reply;
+    reply.status = SessionStatus::kOk;
+    reply.seq = request.seq;
+    reply.program = "program " + std::to_string(request.seq);
+    service::SessionMutateResponse stale = reply;
+    stale.status = SessionStatus::kFailed;
+    stale.error = "stale duplicate";
+    return std::pair{service::encodeSessionMutateResponse(reply),
+                     service::encodeSessionMutateResponse(stale)};
+  });
+  service::SessionStream::Options options;
+  options.endpoint = ipc::parseEndpoint(peer.path());
+  options.retryFor = 2000ms;
+  options.readTimeout = 2000ms;
+  service::SessionStream stream(options);
+  const SessionConfig config = smallConfig();
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const auto response = stream.mutate(mutateRequestFor(config, mut(k)));
+    EXPECT_EQ(response.status, SessionStatus::kOk) << response.error;
+    EXPECT_EQ(response.seq, k);
+    EXPECT_EQ(response.program, "program " + std::to_string(k));
+  }
+  // One connection per request; a stale frame is not a transport failure.
+  EXPECT_EQ(peer.connections(), 4);
+  EXPECT_EQ(stream.reconnects(), 0u);
+}
+
+TEST(ReplicatorTransport, DoubledRepliesForceAReconnectNotAMispairing) {
+  DoubleAnsweringPeer peer(freshSocketPath("double-repl"),
+                           [](const std::string& payload) {
+    const auto request = service::decodeSessionReplAppendRequest(payload);
+    service::SessionReplAppendResponse reply;
+    reply.status = SessionStatus::kOk;
+    reply.epoch = request.epoch;
+    reply.lastAccepted = request.seq;
+    service::SessionReplAppendResponse stale = reply;
+    stale.status = SessionStatus::kStaleEpoch;
+    stale.epoch = request.epoch + 1;
+    return std::pair{service::encodeSessionReplAppendResponse(reply),
+                     service::encodeSessionReplAppendResponse(stale)};
+  });
+  ReplicatorOptions options;
+  options.replicas.push_back(ipc::parseEndpoint(peer.path()));
+  options.retryFor = 2000ms;
+  options.readTimeout = 2000ms;
+  int fences = 0;
+  Replicator replicator(
+      options,
+      [](const std::string&, const std::string&) {
+        return std::optional<Replicator::ResyncBundle>{};
+      },
+      [&fences](const std::string&, const std::string&, std::uint64_t) {
+        ++fences;
+      });
+  const SessionConfig config = smallConfig();
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const auto result = replicator.shipSync(replRequestFor(config, 1, mut(k)));
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_FALSE(result.staleEpoch);
+  }
+  EXPECT_EQ(fences, 0);
+  EXPECT_EQ(peer.connections(), 4);
+}
+
+// --- Volatile sessions ----------------------------------------------------
+
+TEST(SessionService, VolatileSessionDropsAppliedRecordsFromItsTail) {
+  const SessionConfig config = smallConfig();
+  {
+    SessionService store(SessionServiceOptions{});  // no state dir or replica
+    ASSERT_EQ(store.open(openRequestFor(config)).status, SessionStatus::kOk);
+    for (std::uint64_t k = 1; k <= 200; ++k)
+      ASSERT_EQ(store.mutate(mutateRequestFor(config, mut(k))).status,
+                SessionStatus::kOk);
+    EXPECT_EQ(SessionServiceTestAccess::tailSize(store, "t", "s"), 0u);
+  }
+  // With a replica, a volatile primary resyncs a standby from its whole
+  // tail, so the tail stays.
+  SessionServiceOptions options;
+  options.replicas.push_back(
+      ipc::parseEndpoint(freshSocketPath("nobody-home")));
+  options.replAck = ReplAck::kAsync;
+  SessionService store(options);
+  ASSERT_EQ(store.open(openRequestFor(config)).status, SessionStatus::kOk);
+  for (std::uint64_t k = 1; k <= 5; ++k)
+    ASSERT_EQ(store.mutate(mutateRequestFor(config, mut(k))).status,
+              SessionStatus::kOk);
+  EXPECT_EQ(SessionServiceTestAccess::tailSize(store, "t", "s"), 5u);
+}
+
 // --- Session lifecycle races ----------------------------------------------
 
 using service::Gate;
-using service::SessionServiceTestAccess;
 
 /// Waits (bounded) until `depth` items are queued in the store's scheduler.
 /// Only progress evidence: the tests below assert outcomes that hold in
@@ -1001,8 +1136,7 @@ TEST_P(SessionServiceCloseRace, CloseAndReopenLeaveOnlyTheFreshSession) {
   options.executors = 1;
   std::unique_ptr<HeldStandby> standby;
   if (GetParam() == CloseDuring::kQuorumShip) {
-    standby = std::make_unique<HeldStandby>(
-        "/tmp/rfsm-repl-" + std::to_string(getpid()) + "-held.sock");
+    standby = std::make_unique<HeldStandby>(freshSocketPath("held"));
     options.replicas.push_back(ipc::parseEndpoint(standby->path));
     options.replAck = ReplAck::kQuorum;
   }
@@ -1099,8 +1233,7 @@ struct Daemon {
 
 TEST(ReplFailover, QuorumShipsToADaemonStandbyWhichPromotesByteIdentical) {
   const SessionConfig config = smallConfig("ha", "stream");
-  const std::string socketPath =
-      "/tmp/rfsm-repl-" + std::to_string(getpid()) + "-standby.sock";
+  const std::string socketPath = freshSocketPath("standby");
   TempDir standbyDir;
   Daemon standby;
   standby.start(socketPath, standbyDir.path);

@@ -23,20 +23,12 @@
 #include "service/server.hpp"
 #include "util/metrics.hpp"
 #include "util/supervisor.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 service::BatchSpec smallSpec() {
   service::BatchSpec spec;
@@ -341,24 +333,6 @@ TEST(Client, LocalDeadlineIsCooperative) {
 }
 
 // --- Full socket path -----------------------------------------------------
-
-struct RunningServer {
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(service::ServerOptions options)
-      : server(std::move(options)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-};
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-test-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
 
 TEST(Socket, PlanAndProbeOverUnixSocket) {
   const std::string path = freshSocketPath("e2e");

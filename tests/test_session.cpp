@@ -28,6 +28,7 @@
 #include "util/fair.hpp"
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 namespace {
@@ -40,29 +41,6 @@ using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-/// A throwaway directory, removed with its contents on scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char name[] = "/tmp/rfsm-session-XXXXXX";
-    path = mkdtemp(name);
-  }
-  ~TempDir() {
-    for (const std::string& file : fsio::listDir(path))
-      ::unlink((path + "/" + file).c_str());
-    ::rmdir(path.c_str());
-  }
-};
 
 SessionConfig smallConfig(const std::string& tenant = "t",
                           const std::string& name = "s") {
@@ -459,33 +437,6 @@ TEST(SessionEngine, RejectsOutOfOrderSeq) {
 
 // --- SessionService (in-process) -----------------------------------------
 
-service::SessionOpenRequest openRequestFor(const SessionConfig& config) {
-  service::SessionOpenRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.priority = static_cast<std::uint32_t>(config.priority);
-  request.weight = static_cast<std::uint32_t>(config.weight);
-  request.planner = config.planner;
-  request.stateCount = config.stateCount;
-  request.inputCount = config.inputCount;
-  request.outputCount = config.outputCount;
-  request.seed = config.seed;
-  return request;
-}
-
-service::SessionMutateRequest mutateRequestFor(const SessionConfig& config,
-                                               const MutationRecord& rec) {
-  service::SessionMutateRequest request;
-  request.tenant = config.tenant;
-  request.name = config.name;
-  request.seq = rec.seq;
-  request.deltaCount = rec.deltaCount;
-  request.newStateCount = rec.newStateCount;
-  request.mutationSeed = rec.mutationSeed;
-  request.defer = rec.defer;
-  return request;
-}
-
 TEST(SessionService, StreamsMatchTheEngineReference) {
   SessionServiceOptions options;  // volatile: no stateDir
   SessionService serviceStore(options);
@@ -768,11 +719,6 @@ struct Daemon {
   }
 };
 
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-session-" + std::to_string(getpid()) + "-" + tag +
-         ".sock";
-}
-
 /// The global mutation schedule shared by daemon runs and the local
 /// reference engine: odd seqs defer (and compact into the next even
 /// flush), except the final mutation, which always flushes.  The flag
@@ -791,16 +737,8 @@ void streamRange(service::SessionStream& stream, const SessionConfig& config,
                  std::vector<std::pair<std::uint64_t, std::string>>*
                      transcript) {
   for (std::uint64_t k = from; k <= to; ++k) {
-    const MutationRecord rec = scheduledMut(k, total);
-    service::SessionMutateRequest request;
-    request.tenant = config.tenant;
-    request.name = config.name;
-    request.seq = rec.seq;
-    request.deltaCount = rec.deltaCount;
-    request.newStateCount = rec.newStateCount;
-    request.mutationSeed = rec.mutationSeed;
-    request.defer = rec.defer;
-    const auto response = stream.mutate(request);
+    const auto response =
+        stream.mutate(mutateRequestFor(config, scheduledMut(k, total)));
     ASSERT_TRUE(response.status == SessionStatus::kOk ||
                 response.status == SessionStatus::kAccepted)
         << "seq " << k << ": " << toString(response.status) << " "

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -112,7 +113,11 @@ TEST(Trace, ConcurrentSpansFromPoolWorkersAllArrive) {
   TraceScope scope(/*capacity=*/16384);
   constexpr std::size_t kTasks = 512;
   ThreadPool pool(4);
-  pool.parallelFor(kTasks, [](std::size_t k) {
+  // The first four tasks wait for each other, so each of the four jobs
+  // (caller + workers 1..3) runs one and every worker registers its name.
+  std::latch allJobsRunning(4);
+  pool.parallelFor(kTasks, [&](std::size_t k) {
+    if (k < 4) allJobsRunning.arrive_and_wait();
     trace::ScopedSpan span("task", "test",
                            {trace::Arg::num("k", static_cast<std::int64_t>(k))});
   });
